@@ -189,16 +189,13 @@ def _conjugation_orbit_size(a, b):
     start = frozenset(b.elements())
     seen = {start}
     queue = [start]
-    i = 0
-    while i < len(queue):
-        current = queue[i]
+    for current in queue:
         for x in a.generators:
             x_inv = x.inverse()
             img = frozenset(x_inv * e * x for e in current)
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
-        i += 1
     return len(seen)
 
 
@@ -242,9 +239,7 @@ def _find_conjugator(g, h, k, budget):
     start = frozenset(h.elements())
     seen = {start: g.identity}
     queue = [start]
-    i = 0
-    while i < len(queue):
-        current = queue[i]
+    for current in queue:
         u = seen[current]
         if current == target:
             return u
@@ -254,7 +249,6 @@ def _find_conjugator(g, h, k, budget):
             if img not in seen:
                 seen[img] = u * x
                 queue.append(img)
-        i += 1
     return seen.get(target)
 
 

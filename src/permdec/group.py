@@ -1,15 +1,24 @@
 """Permutation groups with a deterministic base-and-strong-generating-set.
 
 The stabiliser chain is built by the classic deterministic Schreier-Sims
-procedure. Base points are chosen as the first point moved by the
-generator that forces a new level, processing generators in input order,
-so the whole construction is reproducible for a fixed generator list.
+procedure (Seress, *Permutation Group Algorithms*, ch. 4). Base points are
+chosen as the first point moved by the generator that forces a new level,
+processing generators in input order, so the whole construction is
+reproducible for a fixed generator list.
+
+Levels are completed deepest first, each by one sweep that sifts its
+Schreier generators u * s * u_gamma^-1 into the levels below, adds any
+residue there and completes those levels again. One sweep is enough: level
+i's generators and orbit stay fixed during it (residues go deeper), and a
+Schreier generator that sifted to the identity, or whose residue was added,
+lies in the group of the completed levels below, which only grows. Sweeps
+sit on an explicit stack, and sifting works on image tuples.
 """
 
 from __future__ import annotations
 
 from .errors import DegreeMismatch, NotTransitive, PointOutOfRange
-from .perm import Permutation
+from .perm import Permutation, compose
 
 
 class _Level:
@@ -27,9 +36,7 @@ class _Level:
         self.orbit = [self.point]
         self.transversal = {self.point: ident}
         self.inv = {self.point: ident}
-        i = 0
-        while i < len(self.orbit):
-            beta = self.orbit[i]
+        for beta in self.orbit:  # the loop visits points appended during it
             u = self.transversal[beta]
             for s in self.gens:
                 gamma = s.images[beta]
@@ -38,7 +45,6 @@ class _Level:
                     self.orbit.append(gamma)
                     self.transversal[gamma] = v
                     self.inv[gamma] = v.inverse()
-            i += 1
 
 
 class _Chain:
@@ -48,10 +54,11 @@ class _Chain:
         self.degree = degree
         self.levels = []
         self._hint = list(base_hint)
+        self._identity = tuple(range(degree))
         for g in generators:
             if not g.is_identity():
                 self._add_gen(g, 0)
-        self._complete_level(0)
+        self._complete()
 
     @property
     def base(self):
@@ -74,38 +81,41 @@ class _Chain:
                 break
             k += 1
 
-    def strip(self, g, start=0):
-        """Sift g through levels[start:]; returns (residue, drop level)."""
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            beta = g.images[level.point]
-            u_inv = level.inv.get(beta)
+    def _strip_images(self, g, start=0):
+        """Sift image tuple g through levels[start:]; returns the residue's images."""
+        for level in self.levels[start:]:
+            u_inv = level.inv.get(g[level.point])
             if u_inv is None:
-                return g, i
-            g = g * u_inv
-        return g, len(self.levels)
+                return g
+            g = compose(g, u_inv.images)
+        return g
 
-    def _complete_level(self, i):
-        if i >= len(self.levels):
-            return
-        self._complete_level(i + 1)
+    def _complete(self):
+        """Run each level's sweep, deepest first; re-run the levels below an addition."""
+        stack = [self._sweep(i) for i in range(len(self.levels))]
+        while stack:
+            below = next(stack[-1], None)
+            if below is None:
+                stack.pop()
+            else:
+                stack.extend(self._sweep(k) for k in range(below, len(self.levels)))
+
+    def _sweep(self, i):
+        """Sift level i's Schreier generators; yield i + 1 after adding a residue."""
         level = self.levels[i]
         level.recompute_orbit(self.degree)
-        clean = False
-        while not clean:
-            clean = True
-            for beta in level.orbit:
-                u = level.transversal[beta]
-                for s in level.gens:
-                    gamma = s.images[beta]
-                    sg = u * s * self.levels[i].inv[gamma]
-                    if sg.is_identity():
-                        continue
-                    residue, _ = self.strip(sg, i + 1)
-                    if not residue.is_identity():
-                        self._add_gen(residue, i + 1)
-                        self._complete_level(i + 1)
-                        clean = False
+        gens = [s.images for s in level.gens]
+        identity = self._identity
+        for beta in level.orbit:
+            u = level.transversal[beta].images
+            for s in gens:
+                sg = compose(compose(u, s), level.inv[s[beta]].images)
+                if sg == identity:
+                    continue
+                residue = self._strip_images(sg, i + 1)
+                if residue != identity:
+                    self._add_gen(Permutation._unchecked(residue), i + 1)
+                    yield i + 1
 
     def order(self):
         out = 1
@@ -116,8 +126,7 @@ class _Chain:
     def contains(self, g):
         if g.degree != self.degree:
             raise DegreeMismatch(f"degrees {g.degree} and {self.degree} differ")
-        residue, _ = self.strip(g)
-        return residue.is_identity()
+        return self._strip_images(g.images) == self._identity
 
     def elements(self):
         """All group elements, deterministic order; one product per element."""
@@ -204,16 +213,13 @@ class PermGroup:
             raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
         trans = {point: self.identity}
         queue = [point]
-        i = 0
-        while i < len(queue):
-            beta = queue[i]
+        for beta in queue:  # the loop visits points appended during it
             u = trans[beta]
             for s in self.generators:
                 gamma = s.images[beta]
                 if gamma not in trans:
                     trans[gamma] = u * s
                     queue.append(gamma)
-            i += 1
         return trans
 
     def point_stabiliser(self, point):

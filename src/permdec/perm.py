@@ -7,6 +7,7 @@ exponent convention ``x^(pq) = (x^p)^q`` used throughout the package.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 
 from .errors import DegreeMismatch, NonBijection, PointOutOfRange
 
@@ -30,9 +31,7 @@ class Permutation:
 
     @staticmethod
     def identity(n):
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", tuple(range(n)))
-        return p
+        return Permutation._unchecked(range(n))
 
     @staticmethod
     def _unchecked(images):
@@ -64,7 +63,7 @@ class Permutation:
         return self.images[point]
 
     def is_identity(self):
-        return all(i == v for i, v in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def first_moved(self):
         """Smallest moved point, or None for the identity."""
@@ -105,7 +104,7 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise DegreeMismatch(f"degrees {len(a)} and {len(b)} differ")
-        return Permutation._unchecked(b[v] for v in a)
+        return Permutation._unchecked(compose(a, b))
 
     def __pow__(self, k):
         if k < 0:
@@ -146,6 +145,13 @@ class Permutation:
             return f"Permutation(identity, degree={self.degree})"
         text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
         return f"Permutation[{text}]"
+
+
+def compose(a, b):
+    """Images of a * b, ``b[a[x]]`` for each x; degree < 2 means a is the identity."""
+    if len(a) < 2:
+        return b
+    return itemgetter(*a)(b)
 
 
 class Partition:

@@ -109,6 +109,7 @@ def intersect(a, b, node_budget=DEFAULT_NODE_BUDGET):
                 dfs(level + 1, lv.transversal[beta] * partial, child)
 
     dfs(0, a.identity, _Walker(chain_b))
+    del dfs  # it refers to itself: free its chains now, not at the next gc
     group = group_from_generators(found, a.degree)
     assert group.order() == len(found)
     return group
@@ -122,9 +123,7 @@ def _block_image_closure(g, block):
     start = frozenset(block)
     seen = {start}
     queue = [start]
-    i = 0
-    while i < len(queue):
-        current = queue[i]
+    for current in queue:
         for s in g.generators:
             img = s.act_on_set(current)
             if img in seen:
@@ -135,7 +134,6 @@ def _block_image_closure(g, block):
                     return None
             seen.add(img)
             queue.append(img)
-        i += 1
     return seen
 
 
@@ -147,16 +145,13 @@ def stabiliser_in_action(g, start, act):
     """
     trans = {start: g.identity}
     queue = [start]
-    i = 0
-    while i < len(queue):
-        obj = queue[i]
+    for obj in queue:
         u = trans[obj]
         for s in g.generators:
             img = act(s, obj)
             if img not in trans:
                 trans[img] = u * s
                 queue.append(img)
-        i += 1
     inv = {obj: u.inverse() for obj, u in trans.items()}
     gens = []
     for obj, u in trans.items():
@@ -203,6 +198,7 @@ def setwise_stabiliser(g, block, node_budget=DEFAULT_NODE_BUDGET):
                 dfs(level + 1, lv.transversal[beta] * partial)
 
     dfs(0, g.identity)
+    del dfs  # it refers to itself: free its chains now, not at the next gc
     stab = group_from_generators(found, g.degree)
     assert stab.order() == len(found)
     assert all(s.act_on_set(block) == block for s in stab.generators)
@@ -233,7 +229,9 @@ def _find_in_coset(s_group, k_group, v, node_budget):
                     return hit
         return None
 
-    return dfs(0, s_group.identity, _Walker(chain_k))
+    hit = dfs(0, s_group.identity, _Walker(chain_k))
+    del dfs  # it refers to itself: free its chains now, not at the next gc
+    return hit
 
 
 def coset_intersection(terms, node_budget=DEFAULT_NODE_BUDGET):
@@ -273,22 +271,18 @@ def _blocks_through(g, omega):
     def omega_orbit(gens):
         seen = {omega}
         queue = [omega]
-        i = 0
-        while i < len(queue):
+        for beta in queue:
             for s in gens:
-                img = s.images[queue[i]]
+                img = s.images[beta]
                 if img not in seen:
                     seen.add(img)
                     queue.append(img)
-            i += 1
         return frozenset(seen)
 
     start = frozenset({omega})
     found = {start: list(stab_gens)}
     queue = [start]
-    i = 0
-    while i < len(queue):
-        block = queue[i]
+    for block in queue:
         gens = found[block]
         for beta in range(g.degree):
             if beta in block:
@@ -298,7 +292,6 @@ def _blocks_through(g, omega):
             if new_block not in found:
                 found[new_block] = cand
                 queue.append(new_block)
-        i += 1
     return found
 
 
@@ -440,16 +433,14 @@ class CosetAction:
         self.subgroup = subgroup
         self.reps = [group.identity]
         gen_images = [[] for _ in group.generators]
-        i = 0
-        while i < len(self.reps):
+        for i, rep in enumerate(self.reps):
             for gi, s in enumerate(group.generators):
-                z = self.reps[i] * s
+                z = rep * s
                 j = self._index_of(z)
                 if j is None:
                     j = len(self.reps)
                     self.reps.append(z)
                 gen_images[gi].append((i, j))
-            i += 1
         n = len(self.reps)
         perms = []
         for pairs in gen_images:

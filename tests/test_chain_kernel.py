@@ -1,0 +1,193 @@
+"""The stabiliser-chain kernel: pinned chains, deep chains, brute-force oracles."""
+
+import hashlib
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permdec import DegreeMismatch, PermGroup, Permutation
+from permdec.brute import mulclose
+
+C = Permutation.from_cycles
+
+
+# --- pinned chains ----------------------------------------------------------
+#
+# Printed subgroup generators come from the chain, so the chain itself is
+# pinned: base, orbit lengths, and a digest of each level's point,
+# generators, orbit order and transversal images.
+
+
+def _fingerprint(chain):
+    payload = repr([
+        (
+            lv.point,
+            [g.images for g in lv.gens],
+            lv.orbit,
+            [lv.transversal[b].images for b in lv.orbit],
+        )
+        for lv in chain.levels
+    ])
+    return (
+        chain.base,
+        tuple(len(lv.orbit) for lv in chain.levels),
+        hashlib.sha256(payload.encode()).hexdigest(),
+    )
+
+
+def _relabelled_s8():
+    pi = list(range(8))
+    random.Random(8).shuffle(pi)
+    gens = []
+    for i in range(7):
+        images = list(range(8))
+        a, b = pi[i], pi[i + 1]
+        images[a], images[b] = b, a
+        gens.append(Permutation(images))
+    return PermGroup(gens)
+
+
+def _m12():
+    return PermGroup([
+        C(12, [tuple(range(11))]),
+        C(12, [(2, 6, 10, 7), (3, 9, 4, 5)]),
+        C(12, [(0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)]),
+    ])
+
+
+def _a6_on_36():
+    from permdec.atlas import load_case
+    from permdec.structure import CosetAction, intersect
+
+    case = load_case("A6_36")
+    inter = intersect(case.subgroups["A"], case.subgroups["B"])
+    return CosetAction(case.group, inter).image
+
+
+def _pair_swaps(k):
+    return PermGroup([C(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)])
+
+
+PINNED = [
+    (
+        "S8",
+        _relabelled_s8,
+        (0, 4, 1, 2, 3, 6, 5),
+        (8, 7, 6, 5, 4, 3, 2),
+        "c6c7ec5eccecfedb5aa991e1362bad39204878e259ab502a52e6267f12a0eedd",
+    ),
+    (
+        "M12",
+        _m12,
+        (0, 2, 1, 3, 4),
+        (12, 11, 10, 9, 8),
+        "0b1f6cab778b073c9ba8e77c8c2c0451c4b49976a987873ae9bc2b1321b33470",
+    ),
+    (
+        "A6_36",
+        _a6_on_36,
+        (1, 0),
+        (36, 10),
+        "aad820d3706f6b76cfa801caf8eec7ebb1d41444b2d8bae04e9a3df2191818bf",
+    ),
+    (
+        "2^16",
+        lambda: _pair_swaps(16),
+        tuple(range(0, 32, 2)),
+        (2,) * 16,
+        "ccb5bf3170383e188fd82f392ae313643834d48f503aefd149676fccabf5cb70",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,make,base,orbits,digest", PINNED, ids=[p[0] for p in PINNED])
+def test_chain_is_pinned(name, make, base, orbits, digest):
+    assert _fingerprint(make().chain) == (base, orbits, digest)
+
+
+# --- deep chains ------------------------------------------------------------
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_chain_depth_does_not_grow_the_call_stack():
+    # 48 levels; a recursive completion needs a frame per level
+    group = _pair_swaps(48)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        order = group.order()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert order == 2**48
+    assert group.base == tuple(range(0, 96, 2))
+
+
+# --- brute-force oracle -------------------------------------------------------
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    perm = st.permutations(list(range(n))).map(Permutation)
+    return n, draw(st.lists(perm, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.integers(min_value=0, max_value=2**32))
+def test_chain_matches_closure(gens_n, seed):
+    n, gens = gens_n
+    group = PermGroup(gens, degree=n)
+    closure = mulclose(gens)
+    assert group.order() == len(closure)
+    assert group.element_set() == closure
+    rng = random.Random(seed)
+    for _ in range(20):
+        images = list(range(n))
+        rng.shuffle(images)
+        x = Permutation(images)
+        assert group.contains(x) == (x in closure)
+    for g in closure:
+        assert group.contains(g)
+
+
+# --- small degrees --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_products_at_small_degree(n):
+    ident = Permutation.identity(n)
+    assert ident.is_identity()
+    assert (ident * ident).images == tuple(range(n))
+    assert (ident * ident).is_identity()
+    assert ident.inverse() == ident
+    assert PermGroup((), degree=n).order() == 1
+    assert PermGroup([ident], degree=n).contains(ident)
+
+
+def test_degree_two_swap():
+    s = Permutation([1, 0])
+    assert not s.is_identity()
+    assert (s * s).is_identity()
+    assert (s * s).images == (0, 1)
+    assert s * Permutation.identity(2) == s
+    group = PermGroup([s])
+    assert group.order() == 2
+    assert group.contains(s)
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (1, 2), (2, 3), (3, 2)])
+def test_product_degree_mismatch(m, n):
+    with pytest.raises(DegreeMismatch):
+        Permutation.identity(m) * Permutation.identity(n)
+    with pytest.raises(DegreeMismatch):
+        PermGroup((), degree=n).contains(Permutation.identity(m))

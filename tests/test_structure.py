@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -85,6 +86,21 @@ def test_intersection_budget():
     b = PermGroup([C(6, [(0, 1)]), C(6, [(2, 3, 4, 5)])])
     with pytest.raises(BudgetExceeded):
         intersect(a, b, node_budget=2)
+
+
+def test_backtrack_searches_leave_no_cyclic_garbage():
+    # a search's chains must be freed when it returns, not at the next gc
+    a = PermGroup([C(6, [(0, 1, 2, 3, 4, 5)])])
+    b = PermGroup([C(6, [(0, 1)]), C(6, [(2, 3, 4, 5)])])
+    gc.collect()
+    gc.disable()
+    try:
+        intersect(a, b)
+        setwise_stabiliser(b, [0, 2])
+        coset_intersection([(a, a.identity), (b, C(6, [(0, 2)]))])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- block systems ------------------------------------------------------------
