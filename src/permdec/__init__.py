@@ -23,6 +23,7 @@ from .cartesian import (
 from .errors import (
     BudgetExceeded,
     DegreeMismatch,
+    InternalError,
     InvalidDecomposition,
     InvalidSystem,
     NonBijection,
@@ -72,6 +73,7 @@ __all__ = [
     "Coset",
     "CosetAction",
     "DegreeMismatch",
+    "InternalError",
     "InvalidDecomposition",
     "InvalidSystem",
     "NonBijection",

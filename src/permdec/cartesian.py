@@ -22,6 +22,7 @@ from .errors import (
     NotInnatelyTransitive,
     NotInvariant,
     NotSubgroup,
+    check,
 )
 from .group import PermGroup
 from .perm import Partition, Permutation
@@ -419,8 +420,7 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6, max_index=
         for i in range(len(chosen)):
             rest = [b for j, b in enumerate(chosen) if j != i]
             other = frozenset.intersection(*rest)
-            # intersections of blocks through omega are again blocks
-            assert other in block_set
+            check(other in block_set, "an intersection of blocks through omega is not a block")
             if len(chosen[i]) * len(other) != n:
                 return False
         return True
@@ -433,20 +433,19 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6, max_index=
             for x in stab_gens
         )
 
-    def dfs(start, chosen, prod):
+    # depth-first over increasing block indices; children are pushed in
+    # reverse so they pop, and results appear, in ascending order
+    stack = [(0, [], 1)]
+    while stack:
+        start, chosen, prod = stack.pop()
         if len(chosen) >= 2 and prod == n and eqs_hold(chosen) and gomega_invariant(chosen):
             results.append(tuple(chosen))
-        if prod >= n:
-            return
-        if max_index is not None and len(chosen) >= max_index:
-            return
-        for i in range(start, len(proper)):
-            b = proper[i]
-            count = n // len(b)
+        if prod >= n or (max_index is not None and len(chosen) >= max_index):
+            continue
+        for i in reversed(range(start, len(proper))):
+            count = n // len(proper[i])
             if prod * count <= n:
-                dfs(i + 1, chosen + [b], prod * count)
-
-    dfs(0, [], 1)
+                stack.append((i + 1, chosen + [proper[i]], prod * count))
     return m, results
 
 

@@ -59,3 +59,13 @@ class UnknownCase(PermdecError):
 
 class OrderMismatch(PermdecError):
     """Recomputed group order disagrees with the bundled record."""
+
+
+class InternalError(PermdecError):
+    """An internal invariant failed: a fault in permdec, not in its input."""
+
+
+def check(cond, msg):
+    """Raise InternalError(msg) unless cond holds; unlike assert, kept under -O."""
+    if not cond:
+        raise InternalError(msg)

@@ -12,24 +12,10 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotFactorisation, NotSubgroup
 from .group import PermGroup
-from .structure import intersect, normaliser_in
+from .structure import intersect, normaliser_in, prime_divisors
 
 ENUMERATION_BOUND = 10**4
 NORMALISER_BUDGET = 2 * 10**5
-
-
-def prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

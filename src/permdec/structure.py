@@ -1,8 +1,25 @@
 """Subgroup machinery on top of the BSGS engine.
 
-Backtrack searches (setwise stabiliser, intersection, coset intersection)
-run over the stabiliser chain of one group while pruning with an exact
-coset walker on the other group's chain, rebuilt on a matching base.
+Intersection, setwise stabiliser and coset intersection share one
+backtrack kernel (Butler, LNCS 559; Seress, *Permutation Group
+Algorithms*, ch. 9). It runs over the base images of the searched group's
+stabiliser chain: a node fixes the images of the first base points, and
+the property prunes each candidate image (for the intersection and the
+coset search an exact coset walker on the other group's chain, rebuilt on
+a matching base) and tests each leaf.
+
+The first-hit mode returns one element with the property. The subgroup
+mode finds the subgroup K of all of them level by level, deepest first.
+At base point b_i it already holds generators of K^(i+1), the part of K
+fixing b_0..b_i. A candidate image of b_i that lies in the orbit of b_i
+under the generators found so far is skipped; for any other candidate one
+first-hit search looks for an element of K mapping b_i there. A hit is a
+new generator. A miss makes the candidate's whole orbit under the
+generators found so far dead: an element of K reaching one point of that
+orbit would reach all of them, the candidate included.
+Every hit is essential and |K| is the product of the final orbit lengths,
+so the result is built without a pass over its elements.
+
 Block systems are found by closing the point stabiliser with transversal
 elements, using the lattice correspondence between subgroups above a
 point stabiliser and blocks through the point.
@@ -12,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DegreeMismatch, PointOutOfRange
+from .errors import BudgetExceeded, DegreeMismatch, PointOutOfRange, check
 from .group import PermGroup, group_from_generators
 from .perm import Partition, Permutation
 
@@ -46,6 +63,33 @@ def _check_points(degree, points):
             raise PointOutOfRange(f"point {p} outside 0..{degree - 1}")
 
 
+def _orbit(points, gens):
+    """The closure of a set of points under gens."""
+    seen = set(points)
+    queue = list(seen)
+    for beta in queue:  # the loop visits points appended during it
+        for s in gens:
+            img = s.images[beta]
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    return seen
+
+
+def prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 # --- coset walker -----------------------------------------------------------
 #
 # Tracks the solution set {x in K : x(q_j) = c_j for all processed
@@ -68,12 +112,99 @@ class _Walker:
         target = self.w_inv.images[c]
         if self.level < len(self.chain.levels):
             lv = self.chain.levels[self.level]
-            assert lv.point == q, "chain base out of step with constraints"
+            check(lv.point == q, "chain base out of step with constraints")
             u = lv.transversal.get(target)
             if u is None:
                 return None
             return _Walker(self.chain, self.level + 1, u * self.w, self.w_inv * lv.inv[target])
         return self if target == q else None
+
+
+# --- backtrack kernel -------------------------------------------------------
+
+
+class _Backtrack:
+    """Backtrack over the base images of one stabiliser chain.
+
+    refine(state, point, image) is the state after requiring that the
+    element maps base point `point` to `image`, or None when no element with
+    the property does; leaf(g) decides g once all its base images are fixed.
+    Each candidate image tried counts one node against the budget.
+    """
+
+    __slots__ = ("chain", "refine", "leaf", "what", "budget", "nodes")
+
+    def __init__(self, chain, refine, leaf, what, node_budget):
+        self.chain = chain
+        self.refine = refine
+        self.leaf = leaf
+        self.what = what
+        self.budget = node_budget
+        self.nodes = 0
+
+    def _tick(self):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded(f"{self.what} search exceeded {self.budget} nodes")
+
+    def first_hit(self, level, partial, state):
+        """An element with the property below the node (level, partial, state), or None.
+
+        partial maps base point j to its fixed image partial.images[b_j] for
+        j < level; an element below it is t_{k-1} * ... * t_level * partial.
+        """
+        levels = self.chain.levels
+        if level == len(levels):
+            return partial if self.leaf(partial) else None
+        stack = [(level, partial, state, iter(levels[level].orbit))]
+        while stack:
+            level, partial, state, betas = stack[-1]
+            lv = levels[level]
+            for beta in betas:
+                self._tick()
+                child = self.refine(state, lv.point, partial.images[beta])
+                if child is not None:
+                    break
+            else:
+                stack.pop()
+                continue
+            g = lv.transversal[beta] * partial
+            if level + 1 < len(levels):
+                stack.append((level + 1, g, child, iter(levels[level + 1].orbit)))
+            elif self.leaf(g):
+                return g
+        return None
+
+    def subgroup(self, root):
+        """The subgroup of all elements with the property, which must be closed."""
+        levels = self.chain.levels
+        fixing = [root]  # fixing[i]: the state with b_0..b_{i-1} fixed
+        for lv in levels[:-1]:
+            fixing.append(self.refine(fixing[-1], lv.point, lv.point))
+        gens = []
+        order = 1
+        for i in reversed(range(len(levels))):
+            lv = levels[i]
+            orbit = {lv.point}
+            dead = set()
+            for beta in lv.orbit:
+                if beta in orbit or beta in dead:
+                    continue
+                self._tick()
+                child = self.refine(fixing[i], lv.point, beta)
+                hit = None if child is None else self.first_hit(i + 1, lv.transversal[beta], child)
+                if hit is None:
+                    dead |= _orbit((beta,), gens)
+                else:
+                    gens.append(hit)
+                    orbit = _orbit(orbit, gens)
+            order *= len(orbit)
+        # top-level generators first: a chain built from them measured
+        # several times cheaper than one built deepest level first
+        group = PermGroup(gens[::-1], degree=self.chain.degree)
+        check(group.order() == order, f"{self.what} search: orbit lengths disagree with the order")
+        check(all(self.leaf(g) for g in gens), f"{self.what} search: a generator fails the property")
+        return group
 
 
 # --- intersection -----------------------------------------------------------
@@ -89,79 +220,12 @@ def intersect(a, b, node_budget=DEFAULT_NODE_BUDGET):
         return b
     if b.order() < a.order():
         a, b = b, a
-    chain_a = a.chain
-    chain_b = b.chain_with_base(chain_a.base)
-    found = []
-    nodes = [0]
-
-    def dfs(level, partial, walker):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise BudgetExceeded(f"intersection search exceeded {node_budget} nodes")
-        if level == len(chain_a.levels):
-            if chain_b.contains(partial):
-                found.append(partial)
-            return
-        lv = chain_a.levels[level]
-        for beta in lv.orbit:
-            child = walker.constrain(lv.point, partial.images[beta])
-            if child is not None:
-                dfs(level + 1, lv.transversal[beta] * partial, child)
-
-    dfs(0, a.identity, _Walker(chain_b))
-    del dfs  # it refers to itself: free its chains now, not at the next gc
-    group = group_from_generators(found, a.degree)
-    assert group.order() == len(found)
-    return group
+    chain_b = b.chain_with_base(a.chain.base)
+    search = _Backtrack(a.chain, _Walker.constrain, chain_b.contains, "intersection", node_budget)
+    return search.subgroup(_Walker(chain_b))
 
 
 # --- setwise stabiliser -----------------------------------------------------
-
-
-def _block_image_closure(g, block):
-    """All images of block under g, or None once two images overlap partially."""
-    start = frozenset(block)
-    seen = {start}
-    queue = [start]
-    for current in queue:
-        for s in g.generators:
-            img = s.act_on_set(current)
-            if img in seen:
-                continue
-            for other in seen:
-                inter = img & other
-                if inter and inter != img:
-                    return None
-            seen.add(img)
-            queue.append(img)
-    return seen
-
-
-def stabiliser_in_action(g, start, act):
-    """Orbit and stabiliser of an object under an induced action of g.
-
-    act(perm, obj) must define a right action compatible with composition.
-    Returns (orbit transversal dict, stabiliser PermGroup).
-    """
-    trans = {start: g.identity}
-    queue = [start]
-    for obj in queue:
-        u = trans[obj]
-        for s in g.generators:
-            img = act(s, obj)
-            if img not in trans:
-                trans[img] = u * s
-                queue.append(img)
-    inv = {obj: u.inverse() for obj, u in trans.items()}
-    gens = []
-    for obj, u in trans.items():
-        for s in g.generators:
-            sg = u * s * inv[act(s, obj)]
-            if not sg.is_identity():
-                gens.append(sg)
-    stab = group_from_generators(gens, g.degree)
-    assert g.order() == len(trans) * stab.order()
-    return trans, stab
 
 
 def setwise_stabiliser(g, block, node_budget=DEFAULT_NODE_BUDGET):
@@ -173,36 +237,13 @@ def setwise_stabiliser(g, block, node_budget=DEFAULT_NODE_BUDGET):
     if len(block) == g.degree:
         return g
 
-    images = _block_image_closure(g, block)
-    if images is not None:
-        # the images never split each other, so the induced action is exact
-        _, stab = stabiliser_in_action(g, block, lambda s, obj: s.act_on_set(obj))
-        return stab
+    def keeps_block(state, point, image):
+        return state if (image in block) == (point in block) else None
 
-    chain = g.chain
-    found = []
-    nodes = [0]
-
-    def dfs(level, partial):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise BudgetExceeded(f"setwise stabiliser search exceeded {node_budget} nodes")
-        if level == len(chain.levels):
-            if partial.act_on_set(block) == block:
-                found.append(partial)
-            return
-        lv = chain.levels[level]
-        inside = lv.point in block
-        for beta in lv.orbit:
-            if (partial.images[beta] in block) == inside:
-                dfs(level + 1, lv.transversal[beta] * partial)
-
-    dfs(0, g.identity)
-    del dfs  # it refers to itself: free its chains now, not at the next gc
-    stab = group_from_generators(found, g.degree)
-    assert stab.order() == len(found)
-    assert all(s.act_on_set(block) == block for s in stab.generators)
-    return stab
+    search = _Backtrack(
+        g.chain, keeps_block, lambda x: x.act_on_set(block) == block, "setwise stabiliser", node_budget
+    )
+    return search.subgroup(True)
 
 
 # --- coset intersection -----------------------------------------------------
@@ -210,28 +251,15 @@ def setwise_stabiliser(g, block, node_budget=DEFAULT_NODE_BUDGET):
 
 def _find_in_coset(s_group, k_group, v, node_budget):
     """Some s in s_group with s*v in k_group, or None."""
-    chain_s = s_group.chain
-    chain_k = k_group.chain_with_base(chain_s.base)
-    nodes = [0]
-
-    def dfs(level, partial, walker):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise BudgetExceeded(f"coset search exceeded {node_budget} nodes")
-        if level == len(chain_s.levels):
-            return partial if chain_k.contains(partial * v) else None
-        lv = chain_s.levels[level]
-        for beta in lv.orbit:
-            child = walker.constrain(lv.point, v.images[partial.images[beta]])
-            if child is not None:
-                hit = dfs(level + 1, lv.transversal[beta] * partial, child)
-                if hit is not None:
-                    return hit
-        return None
-
-    hit = dfs(0, s_group.identity, _Walker(chain_k))
-    del dfs  # it refers to itself: free its chains now, not at the next gc
-    return hit
+    chain_k = k_group.chain_with_base(s_group.chain.base)
+    search = _Backtrack(
+        s_group.chain,
+        lambda walker, q, c: walker.constrain(q, v.images[c]),
+        lambda s: chain_k.contains(s * v),
+        "coset",
+        node_budget,
+    )
+    return search.first_hit(0, s_group.identity, _Walker(chain_k))
 
 
 def coset_intersection(terms, node_budget=DEFAULT_NODE_BUDGET):
@@ -268,17 +296,6 @@ def _blocks_through(g, omega):
     stab_gens = list(g.point_stabiliser(omega).generators)
     trans = g.orbit_transversal(omega)
 
-    def omega_orbit(gens):
-        seen = {omega}
-        queue = [omega]
-        for beta in queue:
-            for s in gens:
-                img = s.images[beta]
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-        return frozenset(seen)
-
     start = frozenset({omega})
     found = {start: list(stab_gens)}
     queue = [start]
@@ -288,7 +305,7 @@ def _blocks_through(g, omega):
             if beta in block:
                 continue
             cand = gens + [trans[beta]]
-            new_block = omega_orbit(cand)
+            new_block = frozenset(_orbit((omega,), cand))
             if new_block not in found:
                 found[new_block] = cand
                 queue.append(new_block)
@@ -355,7 +372,7 @@ def minimal_normal_subgroups(g, bound=10**6):
         if x.is_identity():
             continue
         o = x.order()
-        p = min(_prime_factors(o))
+        p = min(prime_divisors(o))
         y = x ** (o // p)
         candidate = normal_closure(g, [y])
         if not any(candidate.same_group(c) for c in closures):
@@ -400,7 +417,7 @@ def centraliser_in_symmetric(g):
         if all((c * s).images == (s * c).images for s in g.generators):
             elements.append(c)
     cent = group_from_generators(elements, g.degree)
-    assert cent.order() == len(elements)
+    check(cent.order() == len(elements), "centraliser elements are not a group")
     return cent
 
 
@@ -416,7 +433,7 @@ def normaliser_in(g, h, budget=2 * 10**5):
         if all(h.contains(x_inv * k * x) for k in h.generators):
             hits.append(x)
     result = group_from_generators(hits, g.degree)
-    assert result.order() == len(hits)
+    check(result.order() == len(hits), "normaliser elements are not a group")
     return result
 
 
@@ -472,17 +489,3 @@ class CosetAction:
 
     def is_faithful(self):
         return self.image.order() == self.group.order()
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

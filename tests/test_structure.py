@@ -1,4 +1,7 @@
+import ast
 import gc
+import math
+import pathlib
 import random
 
 import pytest
@@ -7,6 +10,8 @@ from permdec import (
     BudgetExceeded,
     Coset,
     CosetAction,
+    InternalError,
+    PermdecError,
     PermGroup,
     Permutation,
     block_systems,
@@ -20,6 +25,9 @@ from permdec import (
     normaliser_in,
     setwise_stabiliser,
 )
+from permdec import structure
+from permdec.cartesian import enumerate_cartesian_systems
+from permdec.errors import check
 from permdec.structure import interval_subgroups, partition_from_block
 
 C = Permutation.from_cycles
@@ -92,15 +100,115 @@ def test_backtrack_searches_leave_no_cyclic_garbage():
     # a search's chains must be freed when it returns, not at the next gc
     a = PermGroup([C(6, [(0, 1, 2, 3, 4, 5)])])
     b = PermGroup([C(6, [(0, 1)]), C(6, [(2, 3, 4, 5)])])
+    z3z3 = PermGroup([C(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)]), C(9, [(0, 3, 6), (1, 4, 7), (2, 5, 8)])])
+    enumerate_cartesian_systems(z3z3, plinth=z3z3)
     gc.collect()
     gc.disable()
     try:
         intersect(a, b)
         setwise_stabiliser(b, [0, 2])
         coset_intersection([(a, a.identity), (b, C(6, [(0, 2)]))])
+        enumerate_cartesian_systems(z3z3, plinth=z3z3)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def random_small_subgroup(n, rng, bound=3000):
+    """A subgroup of Sym(n) of order at most bound, from 1-3 random generators.
+
+    Each generator is a power of a random permutation of a random support,
+    so fixed-point-free involutions and regular elementary abelian groups,
+    whose orbits take several hits per level, turn up too.
+    """
+    while True:
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(2, n))
+            images = list(range(n))
+            for src, dst in zip(support, rng.sample(support, len(support))):
+                images[src] = dst
+            gens.append(Permutation(images) ** rng.randint(1, 3))
+        group = PermGroup(gens, degree=n)
+        if group.order() <= bound:
+            return group
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_kernel_intersection_matches_enumeration(n):
+    rng = random.Random(400 + n)
+    for _ in range(40):
+        a, b = random_small_subgroup(n, rng), random_small_subgroup(n, rng)
+        got = intersect(a, b)
+        assert got.element_set() == a.element_set() & b.element_set()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_kernel_coset_intersection_matches_enumeration(n):
+    rng = random.Random(500 + n)
+    empty = 0
+    for _ in range(40):
+        terms = [(random_small_subgroup(n, rng), random_small_subgroup(n, rng).random_element(rng))
+                 for _ in range(rng.randint(2, 3))]
+        want = set.intersection(*({e * x for e in k.elements()} for k, x in terms))
+        got = coset_intersection(terms)
+        if got is None:
+            empty += 1
+            assert not want
+        else:
+            assert set(got.elements()) == want
+    assert 0 < empty < 40
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_kernel_setwise_stabiliser_matches_enumeration(n):
+    rng = random.Random(600 + n)
+    non_blocks = 0
+    for _ in range(60):
+        g = random_small_subgroup(n, rng)
+        block = frozenset(rng.sample(range(n), rng.randint(2, n - 2)))
+        images = {x.act_on_set(block) for x in g.elements()}
+        non_blocks += any(i & j and i != j for i in images for j in images)
+        want = {x for x in g.elements() if x.act_on_set(block) == block}
+        assert setwise_stabiliser(g, block).element_set() == want
+    assert non_blocks >= 20
+
+
+def test_intersection_with_several_hits_per_level():
+    # AGL(1,8) ∩ (2^3 : <transvection>) is the regular translation group
+    # 2^3, so the top level of the search needs three hits, growing the
+    # orbit 2 -> 4 -> 8
+    def perm(f):
+        return Permutation([f(p) for p in range(8)])
+
+    translations = [perm(lambda p, v=v: p ^ v) for v in (1, 2, 4)]
+    times_x = perm(lambda p: ((p << 1) & 7) ^ (3 if p & 4 else 0))  # in F_2[x]/(x^3+x+1)
+    transvection = perm(lambda p: p ^ (p >> 2 & 1))
+    a = PermGroup(translations + [times_x])
+    b = PermGroup(translations + [transvection])
+    assert (a.order(), b.order()) == (56, 16)
+    got = intersect(a, b)
+    assert got.element_set() == a.element_set() & b.element_set()
+    assert got.order() == 8
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_intersection_prunes_by_found_subgroup(k):
+    # Sym{0..k} ∩ Sym{1..k+1} = Sym{1..k}; listing its k! elements would
+    # need far more than 1000 nodes
+    n = k + 2
+    a = PermGroup([C(n, [tuple(range(k + 1))]), C(n, [(0, 1)])])
+    b = PermGroup([C(n, [tuple(range(1, k + 2))]), C(n, [(1, 2)])])
+    assert intersect(a, b, node_budget=1000).order() == math.factorial(k)
+
+
+def test_structure_has_no_bare_asserts():
+    # assert statements vanish under python -O; invariants use errors.check
+    tree = ast.parse(pathlib.Path(structure.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    with pytest.raises(InternalError) as info:
+        check(False, "broken invariant")
+    assert isinstance(info.value, PermdecError)
 
 
 # --- block systems ------------------------------------------------------------
