@@ -25,6 +25,7 @@ from .errors import (
     DegreeMismatch,
     InternalError,
     InvalidDecomposition,
+    InvalidInput,
     InvalidSystem,
     NonBijection,
     NotFactorisation,
@@ -75,6 +76,7 @@ __all__ = [
     "DegreeMismatch",
     "InternalError",
     "InvalidDecomposition",
+    "InvalidInput",
     "InvalidSystem",
     "NonBijection",
     "NotFactorisation",

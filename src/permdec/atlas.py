@@ -12,6 +12,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
+from . import io
 from .cartesian import (
     enumerate_cartesian_decompositions,
     round_trip_check,
@@ -29,7 +30,6 @@ from .factor import (
     is_strong_multiple_factorisation,
 )
 from .group import PermGroup
-from .perm import Permutation
 from .structure import CosetAction, centraliser_in_symmetric, intersect, normaliser_in
 from .wreath import full_stabiliser
 
@@ -58,14 +58,6 @@ def _case_path(name, data_dir):
     return path
 
 
-def _group_of(data, name=None):
-    return PermGroup(
-        [Permutation(images) for images in data["generators"]],
-        degree=data["degree"],
-        name=name or data.get("name"),
-    )
-
-
 def list_cases(data_dir=None):
     """All bundled cases as (name, citation, desk_scale), sorted by name."""
     base = pathlib.Path(data_dir) if data_dir else DEFAULT_DATA_DIR
@@ -90,14 +82,14 @@ def load_case(name, data_dir=None):
     if not record.desk_scale:
         return record
 
-    group = _group_of(data["group"])
+    group = io.group_from_json(data["group"])
     if group.order() != data["expected"]["T_order"]:
         raise OrderMismatch(
             f"{name}: group order {group.order()} != recorded {data['expected']['T_order']}"
         )
     subgroups = {}
     for label, gens in data["subgroups"].items():
-        sub = PermGroup([Permutation(images) for images in gens], degree=group.degree, name=label)
+        sub = io.group_from_json({"degree": group.degree, "generators": gens, "name": label})
         want = data["expected"]["subgroup_orders"][label]
         if sub.order() != want:
             raise OrderMismatch(f"{name}: |{label}| = {sub.order()} != recorded {want}")
@@ -106,7 +98,9 @@ def load_case(name, data_dir=None):
     record.subgroups = subgroups
     if data.get("outer_automorphism") == "coset_action_on_B":
         action = CosetAction(group, subgroups["B"])
-        assert action.is_faithful() and action.degree == group.degree
+        if not (action.is_faithful() and action.degree == group.degree):
+            raise OrderMismatch(f"{name}: the action on the cosets of B is not a faithful "
+                                f"action of degree {group.degree}")
         record.outer_automorphism = Automorphism(action.act, name="theta")
     return record
 
@@ -199,7 +193,7 @@ def _verify_coset_case(record, diff, budget):
     system = to_system(g, e, 0)
     diff.add("K_orders", exp["K_orders"], sorted(k.order() for k in system.subgroups))
     diff.add("system_valid", True, validate_system(system).valid)
-    diff.add("W_order", exp["W_order"], full_stabiliser(e).expected_order)
+    diff.add("W_order", exp["W_order"], full_stabiliser(e).group.order())
     diff.add("round_trip", True, round_trip_check(g, plinth=g).ok)
     if exp.get("quasiprimitive"):
         diff.add("trivial_centraliser", 1, centraliser_in_symmetric(g).order())

@@ -62,9 +62,6 @@ class CartesianDecomposition:
         sizes = {s for p in self.partitions for s in p.block_sizes()}
         return len(counts) == 1 and len(sizes) == 1 and min(sizes) >= 2
 
-    def is_nontrivial(self):
-        return self.index >= 2
-
     def __eq__(self, other):
         return (
             isinstance(other, CartesianDecomposition) and self.partitions == other.partitions
@@ -365,8 +362,6 @@ def to_decomposition(k):
     e = CartesianDecomposition(partitions)
     if not validate_decomposition(e).valid:
         raise InvalidSystem("translated orbits do not form a Cartesian decomposition")
-    if not to_system(m, e, k.base_point).same_system(k):
-        raise InvalidSystem("round trip through block stabilisers does not recover the system")
     return e
 
 
@@ -454,14 +449,19 @@ def enumerate_cartesian_decompositions(g, omega=0, plinth=None, bound=10**6, max
     m, block_tuples = enumerate_cartesian_systems(
         g, omega=omega, plinth=plinth, bound=bound, max_index=max_index
     )
-    out = []
+    return _decompositions(g, m, block_tuples)
+
+
+def _decompositions(g, m, block_tuples):
+    """The decompositions of the plinth m's block tuples, checked and sorted."""
+    out = set()
     for chosen in block_tuples:
         e = CartesianDecomposition([partition_from_block(m, b) for b in chosen])
-        assert validate_decomposition(e).valid
-        assert is_invariant(g, e).invariant
-        assert plinth_fixes_partitions(m, e)
-        out.append(e)
-    return sorted(set(out))
+        check(validate_decomposition(e).valid, "translated blocks are not a decomposition")
+        check(is_invariant(g, e).invariant, "an enumerated decomposition is not g-invariant")
+        check(plinth_fixes_partitions(m, e), "the plinth moves an enumerated partition")
+        out.add(e)
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -487,7 +487,7 @@ class RoundTripReport:
 def round_trip_check(g, omega=0, plinth=None, bound=10**6):
     """Both directions of the decomposition/system bijection on g."""
     m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth, bound=bound)
-    decomps = enumerate_cartesian_decompositions(g, omega=omega, plinth=plinth, bound=bound)
+    decomps = _decompositions(g, m, block_tuples)
 
     forward_ok = True
     details = []

@@ -12,6 +12,7 @@ import sys
 
 from . import atlas, brute, io
 from .cartesian import (
+    CartesianDecomposition,
     enumerate_cartesian_decompositions,
     is_invariant,
     to_decomposition,
@@ -19,7 +20,8 @@ from .cartesian import (
     validate_decomposition,
     validate_system,
 )
-from .errors import PermdecError
+from .errors import InvalidInput, PermdecError
+from .factor import is_full_factorisation, is_strong_multiple_factorisation
 from .wreath import WreathSpec, product_action_wreath
 
 
@@ -35,15 +37,14 @@ def _load_group(path):
 
 
 def _parse_wreath_spec(text):
-    # "wr:<base>^<ell>"
-    if not text.startswith("wr:") or "^" not in text:
-        raise PermdecError(f"bad wreath spec {text!r}; expected wr:<base>^<ell>")
-    base, _, ell = text[3:].partition("^")
+    base, _, ell = text.removeprefix("wr:").partition("^")
+    if not text.startswith("wr:") or not (base.isdecimal() and ell.isdecimal()):
+        raise InvalidInput(f"bad wreath spec {text!r}; expected wr:<base>^<ell>")
     return WreathSpec(int(base), int(ell))
 
 
 def cmd_verify_decomp(args):
-    e = io.decomposition_from_json(io.load_json(args.decomp))
+    e = CartesianDecomposition.from_json(io.load_json(args.decomp))
     report = validate_decomposition(e, cap=args.budget or 10**7).to_json()
     ok = report["valid"]
     if args.group:
@@ -64,7 +65,7 @@ def cmd_verify_system(args):
 
 def cmd_to_system(args):
     g = _load_group(args.group)
-    e = io.decomposition_from_json(io.load_json(args.decomp))
+    e = CartesianDecomposition.from_json(io.load_json(args.decomp))
     system = to_system(g, e, args.omega)
     _emit(system.to_json(), args)
     return 0
@@ -114,15 +115,12 @@ def cmd_wreath(args):
 
 
 def cmd_factcheck(args):
-    from .factor import is_full_factorisation, is_strong_multiple_factorisation
-
     g = _load_group(args.group)
     subs = [_load_group(p) for p in args.subgroups]
     if len(subs) == 2:
         report = is_full_factorisation(g, subs[0], subs[1])
-        _emit(report.to_json(), args)
-        return 0 if report.holds else 1
-    report = is_strong_multiple_factorisation(g, subs)
+    else:
+        report = is_strong_multiple_factorisation(g, subs)
     _emit(report.to_json(), args)
     return 0 if report.holds else 1
 
@@ -154,35 +152,27 @@ def cmd_corpus(args):
             rep = {"case": name, "ok": False, "error": type(exc).__name__, "message": str(exc)}
         results.append(rep)
         ok = ok and passed
-    oracle = _run_oracle_suite(args)
+    oracle = _run_oracle_suite()
     results.extend(oracle)
     ok = ok and all(r["ok"] for r in oracle)
+    report = {"results": results, "ok": ok}
     if args.pretty:
         for r in results:
             print(f"{r['case']:12s} {'PASS' if r['ok'] else 'FAIL'}")
+        if args.out:
+            io.dump_json(report, path=args.out, pretty=True)
     else:
-        _emit({"results": results, "ok": ok}, args)
+        _emit(report, args)
     return 0 if ok else 1
 
 
-def _run_oracle_suite(args):
-    from .cartesian import enumerate_cartesian_decompositions
-    from .group import PermGroup
-    from .perm import Permutation
-
-    corpus = json.loads((atlas.DEFAULT_DATA_DIR / "corpus.json").read_text())
+def _run_oracle_suite():
     out = []
-    for entry in corpus:
-        g = PermGroup(
-            [Permutation(im) for im in entry["generators"]],
-            degree=entry["degree"],
-            name=entry["name"],
-        )
+    for entry in io.load_json(atlas.DEFAULT_DATA_DIR / "corpus.json"):
+        g = io.group_from_json(entry)
         plinth = None
         if "plinth" in entry:
-            plinth = PermGroup(
-                [Permutation(im) for im in entry["plinth"]], degree=entry["degree"]
-            )
+            plinth = io.group_from_json({"degree": entry["degree"], "generators": entry["plinth"]})
         got = enumerate_cartesian_decompositions(g, plinth=plinth)
         want = brute.brute_force_decompositions(g)
         out.append(

@@ -5,6 +5,10 @@ class PermdecError(Exception):
     """Base class for all errors raised by permdec."""
 
 
+class InvalidInput(PermdecError, ValueError):
+    """Malformed input: an unreadable file, bad JSON, or a bad argument value."""
+
+
 class NonBijection(PermdecError):
     """An image array is not a permutation of 0..n-1."""
 

@@ -21,6 +21,42 @@ from .errors import DegreeMismatch, NotTransitive, PointOutOfRange
 from .perm import Permutation, compose
 
 
+def check_points(degree, points):
+    for p in points:
+        if not 0 <= p < degree:
+            raise PointOutOfRange(f"point {p} outside 0..{degree - 1}")
+
+
+def on_points(x, s):
+    """The point action, x -> x^s."""
+    return s.images[x]
+
+
+def orbit(start, gens, act):
+    """The Schreier tree of start under gens: {x: (parent, s)}, None at the root.
+
+    act(x, s) is the image of x under s. The tree is built breadth first and
+    its keys come in that order, each after its parent; no products are made.
+    """
+    tree = {start: None}
+    queue = [start]
+    for x in queue:  # the loop visits points appended during it
+        for s in gens:
+            y = act(x, s)
+            if y not in tree:
+                tree[y] = (x, s)
+                queue.append(y)
+    return tree
+
+
+def transversal(tree, identity):
+    """u_x = u_parent * s for each x of a Schreier tree, so start^u_x = x."""
+    out = {}
+    for x, edge in tree.items():
+        out[x] = identity if edge is None else out[edge[0]] * edge[1]
+    return out
+
+
 class _Level:
     __slots__ = ("point", "gens", "orbit", "transversal", "inv")
 
@@ -32,19 +68,10 @@ class _Level:
         self.inv = {}
 
     def recompute_orbit(self, degree):
-        ident = Permutation.identity(degree)
-        self.orbit = [self.point]
-        self.transversal = {self.point: ident}
-        self.inv = {self.point: ident}
-        for beta in self.orbit:  # the loop visits points appended during it
-            u = self.transversal[beta]
-            for s in self.gens:
-                gamma = s.images[beta]
-                if gamma not in self.transversal:
-                    v = u * s
-                    self.orbit.append(gamma)
-                    self.transversal[gamma] = v
-                    self.inv[gamma] = v.inverse()
+        tree = orbit(self.point, self.gens, on_points)
+        self.orbit = list(tree)
+        self.transversal = transversal(tree, Permutation.identity(degree))
+        self.inv = {x: u.inverse() for x, u in self.transversal.items()}
 
 
 class _Chain:
@@ -205,36 +232,19 @@ class PermGroup:
 
     def orbit(self, point):
         """The orbit of a point, ascending."""
-        return tuple(sorted(self.orbit_transversal(point)))
+        check_points(self.degree, (point,))
+        return tuple(sorted(orbit(point, self.generators, on_points)))
 
     def orbit_transversal(self, point):
         """Map beta -> u with point^u = beta, BFS order over the generators."""
-        if not 0 <= point < self.degree:
-            raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
-        trans = {point: self.identity}
-        queue = [point]
-        for beta in queue:  # the loop visits points appended during it
-            u = trans[beta]
-            for s in self.generators:
-                gamma = s.images[beta]
-                if gamma not in trans:
-                    trans[gamma] = u * s
-                    queue.append(gamma)
-        return trans
+        check_points(self.degree, (point,))
+        return transversal(orbit(point, self.generators, on_points), self.identity)
 
     def point_stabiliser(self, point):
-        """Stabiliser of a point, via Schreier generators of the orbit."""
-        trans = self.orbit_transversal(point)
-        inv = {beta: u.inverse() for beta, u in trans.items()}
-        gens = []
-        for beta, u in trans.items():
-            for s in self.generators:
-                sg = u * s * inv[s.images[beta]]
-                if not sg.is_identity():
-                    gens.append(sg)
-        stab = group_from_generators(gens, self.degree)
-        assert self.order() == len(trans) * stab.order()
-        return stab
+        """Stabiliser of a point: level 1 of a chain whose base starts there."""
+        check_points(self.degree, (point,))
+        levels = self.chain_with_base((point,)).levels
+        return PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
 
     # comparisons --------------------------------------------------------------
 

@@ -1,13 +1,14 @@
-"""JSON serialisation for groups, partitions, decompositions, and systems."""
+"""JSON serialisation for groups and systems, and JSON file input and output."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 
-from .cartesian import CartesianDecomposition, CartesianSystem
+from .cartesian import CartesianSystem
+from .errors import InvalidInput
 from .group import PermGroup
-from .perm import Partition, Permutation
+from .perm import Permutation
 
 
 def group_to_json(g):
@@ -17,41 +18,38 @@ def group_to_json(g):
     return out
 
 
+def _fields(data, *keys):
+    try:
+        return [data[key] for key in keys]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"expected an object with {', '.join(keys)}, got {data!r:.80}") from exc
+
+
+def _perms(image_lists):
+    try:
+        return [Permutation(images) for images in image_lists]
+    except TypeError as exc:
+        raise InvalidInput(f"expected lists of images, got {image_lists!r:.80}") from exc
+
+
 def group_from_json(data):
-    return PermGroup(
-        [Permutation(images) for images in data["generators"]],
-        degree=data["degree"],
-        name=data.get("name"),
-    )
-
-
-def partition_from_json(data, degree=None):
-    return Partition(data, degree=degree)
-
-
-def decomposition_to_json(e):
-    return e.to_json()
-
-
-def decomposition_from_json(data):
-    return CartesianDecomposition.from_json(data)
-
-
-def system_to_json(k):
-    return k.to_json()
+    degree, generators = _fields(data, "degree", "generators")
+    return PermGroup(_perms(generators), degree=degree, name=data.get("name"))
 
 
 def system_from_json(data):
-    group = group_from_json(data["group"])
-    subgroups = [
-        PermGroup([Permutation(images) for images in gens], degree=group.degree)
-        for gens in data["subgroups"]
-    ]
-    return CartesianSystem(group, data["base_point"], subgroups)
+    group, base_point, subgroups = _fields(data, "group", "base_point", "subgroups")
+    group = group_from_json(group)
+    return CartesianSystem(
+        group, base_point, [PermGroup(_perms(gens), degree=group.degree) for gens in subgroups]
+    )
 
 
 def load_json(path):
-    return json.loads(pathlib.Path(path).read_text())
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def dump_json(data, path=None, pretty=False):

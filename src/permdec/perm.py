@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd
 from operator import itemgetter
 
-from .errors import DegreeMismatch, NonBijection, PointOutOfRange
+from .errors import DegreeMismatch, InvalidInput, NonBijection, PointOutOfRange
 
 
 class Permutation:
@@ -164,11 +164,15 @@ class Partition:
     __slots__ = ("blocks", "degree")
 
     def __init__(self, blocks, degree=None):
-        norm = sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0] if b else -1)
-        pts = [x for b in norm for x in b]
-        n = degree if degree is not None else (max(pts) + 1 if pts else 0)
-        if sorted(pts) != list(range(n)):
-            raise ValueError(f"blocks do not partition 0..{n - 1}: {blocks!r}")
+        try:
+            norm = sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0] if b else -1)
+            pts = [x for b in norm for x in b]
+            n = degree if degree is not None else (max(pts) + 1 if pts else 0)
+            is_partition = sorted(pts) == list(range(n))
+        except TypeError:  # a block that is not a collection of integer points
+            is_partition = False
+        if not is_partition:
+            raise InvalidInput(f"blocks do not partition the points 0..n-1: {blocks!r}")
         object.__setattr__(self, "blocks", tuple(norm))
         object.__setattr__(self, "degree", n)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegreeMismatch, PointOutOfRange, check
-from .group import PermGroup, group_from_generators
+from .group import PermGroup, check_points, group_from_generators, on_points, orbit
 from .perm import Partition, Permutation
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -55,25 +55,6 @@ class Coset:
 
     def elements(self):
         return [e * self.representative for e in self.subgroup.elements()]
-
-
-def _check_points(degree, points):
-    for p in points:
-        if not 0 <= p < degree:
-            raise PointOutOfRange(f"point {p} outside 0..{degree - 1}")
-
-
-def _orbit(points, gens):
-    """The closure of a set of points under gens."""
-    seen = set(points)
-    queue = list(seen)
-    for beta in queue:  # the loop visits points appended during it
-        for s in gens:
-            img = s.images[beta]
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return seen
 
 
 def prime_divisors(n):
@@ -185,20 +166,20 @@ class _Backtrack:
         order = 1
         for i in reversed(range(len(levels))):
             lv = levels[i]
-            orbit = {lv.point}
+            reached = {lv.point}
             dead = set()
             for beta in lv.orbit:
-                if beta in orbit or beta in dead:
+                if beta in reached or beta in dead:
                     continue
                 self._tick()
                 child = self.refine(fixing[i], lv.point, beta)
                 hit = None if child is None else self.first_hit(i + 1, lv.transversal[beta], child)
                 if hit is None:
-                    dead |= _orbit((beta,), gens)
+                    dead.update(orbit(beta, gens, on_points))
                 else:
                     gens.append(hit)
-                    orbit = _orbit(orbit, gens)
-            order *= len(orbit)
+                    reached = orbit(lv.point, gens, on_points)
+            order *= len(reached)
         # top-level generators first: a chain built from them measured
         # several times cheaper than one built deepest level first
         group = PermGroup(gens[::-1], degree=self.chain.degree)
@@ -233,7 +214,7 @@ def setwise_stabiliser(g, block, node_budget=DEFAULT_NODE_BUDGET):
     block = frozenset(block)
     if not block:
         raise PointOutOfRange("empty block")
-    _check_points(g.degree, block)
+    check_points(g.degree, block)
     if len(block) == g.degree:
         return g
 
@@ -290,25 +271,23 @@ def _blocks_through(g, omega):
     Uses the correspondence between subgroups in [G_omega, G] and blocks
     containing omega: a subgroup's block is the omega-orbit, and the block's
     stabiliser is generated by G_omega together with transversal elements
-    into the block.
+    into the block. The blocks are the orbit of {omega} under joining with
+    the transversal element of each point.
     """
     g.require_transitive()
-    stab_gens = list(g.point_stabiliser(omega).generators)
     trans = g.orbit_transversal(omega)
-
     start = frozenset({omega})
-    found = {start: list(stab_gens)}
-    queue = [start]
-    for block in queue:
-        gens = found[block]
-        for beta in range(g.degree):
-            if beta in block:
-                continue
-            cand = gens + [trans[beta]]
-            new_block = frozenset(_orbit((omega,), cand))
-            if new_block not in found:
-                found[new_block] = cand
-                queue.append(new_block)
+    found = {start: list(g.point_stabiliser(omega).generators)}
+
+    def join(block, beta):
+        if beta in block:
+            return block
+        gens = found[block] + [trans[beta]]
+        joined = frozenset(orbit(omega, gens, on_points))
+        found.setdefault(joined, gens)
+        return joined
+
+    orbit(start, range(g.degree), join)
     return found
 
 
@@ -323,10 +302,8 @@ def interval_subgroups(g, omega):
 
 def partition_from_block(g, block):
     """The g-invariant partition whose blocks are the translates of block."""
-    anchor = min(block)
-    trans = g.orbit_transversal(anchor)
-    blocks = {frozenset(u.images[x] for x in block) for u in trans.values()}
-    return Partition(sorted(tuple(sorted(b)) for b in blocks), degree=g.degree)
+    translates = orbit(frozenset(block), g.generators, lambda b, s: s.act_on_set(b))
+    return Partition(translates, degree=g.degree)
 
 
 def block_systems(g, omega=0):
@@ -448,23 +425,23 @@ class CosetAction:
             raise DegreeMismatch("subgroup does not sit inside the group")
         self.group = group
         self.subgroup = subgroup
+        # cosets are numbered in the order the orbit finds them; each edge is one image
         self.reps = [group.identity]
-        gen_images = [[] for _ in group.generators]
-        for i, rep in enumerate(self.reps):
-            for gi, s in enumerate(group.generators):
-                z = rep * s
-                j = self._index_of(z)
-                if j is None:
-                    j = len(self.reps)
-                    self.reps.append(z)
-                gen_images[gi].append((i, j))
+        images = {}
+
+        def coset_of(i, gi):
+            z = self.reps[i] * group.generators[gi]
+            j = self._index_of(z)
+            if j is None:
+                j = len(self.reps)
+                self.reps.append(z)
+            images[i, gi] = j
+            return j
+
+        gen_indices = range(len(group.generators))
+        orbit(0, gen_indices, coset_of)
         n = len(self.reps)
-        perms = []
-        for pairs in gen_images:
-            images = [0] * n
-            for i, j in pairs:
-                images[i] = j
-            perms.append(Permutation(images))
+        perms = [Permutation([images[i, gi] for i in range(n)]) for gi in gen_indices]
         self.image = PermGroup(perms, degree=n, name=f"coset action of {group.name or 'G'}")
 
     def _index_of(self, z):

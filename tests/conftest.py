@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permdec import PermGroup, Permutation
+from permdec import PermGroup, Permutation, io
 from permdec.atlas import DEFAULT_DATA_DIR
 
 C = Permutation.from_cycles
@@ -18,15 +18,10 @@ def corpus_entries():
 
 
 def corpus_group(entry):
-    g = PermGroup(
-        [Permutation(im) for im in entry["generators"]],
-        degree=entry["degree"],
-        name=entry["name"],
-    )
     plinth = None
     if "plinth" in entry:
-        plinth = PermGroup([Permutation(im) for im in entry["plinth"]], degree=entry["degree"])
-    return g, plinth
+        plinth = io.group_from_json({"degree": entry["degree"], "generators": entry["plinth"]})
+    return io.group_from_json(entry), plinth
 
 
 @pytest.fixture(scope="session")

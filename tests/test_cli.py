@@ -1,8 +1,13 @@
 import json
+import pathlib
+import shutil
 
 import pytest
 
+from permdec.atlas import DEFAULT_DATA_DIR
 from permdec.cli import build_parser, run
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 KLEIN = {"degree": 4, "generators": [[1, 0, 3, 2], [2, 3, 0, 1]], "name": "V4"}
 S4 = {"degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]], "name": "S4"}
@@ -200,3 +205,62 @@ def test_pretty_and_out_agree(capsys, files, tmp_path):
 def test_parser_builds():
     parser = build_parser()
     assert parser.prog == "permdec"
+
+
+# --- bad input reaches the caller as a JSON error, never a traceback ----------
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["enumerate", "--group", "absent.json"], None),
+    (["enumerate", "--group", "."], None),
+    (["enumerate", "--group", "input.json"], '{"degree": 4,'),
+    (["enumerate", "--group", "input.json"], '{"generators": [[1, 0]]}'),
+    (["enumerate", "--group", "input.json"], '{"degree": 4}'),
+    (["enumerate", "--group", "input.json"], '{"degree": 4, "generators": [5]}'),
+    (["verify-system", "--system", "input.json"],
+     '{"group": {"degree": 2, "generators": []}, "base_point": 0, "subgroups": [5]}'),
+    (["wreath", "wr:x^2"], None),
+    (["wreath", "wr:1^2"], None),
+    (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], [1, 2]]]"),
+    (["verify-decomp", "--decomp", "input.json"], '[[[0, "a"], [1, 2]]]'),
+    (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], 5]]"),
+    (["factcheck", "--group", "s4.json", "s3.json"], None),
+], ids=[
+    "missing file", "unreadable file", "malformed json", "group without degree",
+    "group without generators", "generator not a list", "subgroup not a list",
+    "wreath base not a number", "wreath base below 2",
+    "not a partition", "point not a number", "block not a list", "one subgroup",
+])
+def test_bad_input_is_a_json_error(capsys, files, tmp_path, monkeypatch, argv, text):
+    monkeypatch.chdir(tmp_path)  # where `files` wrote s4.json and s3.json
+    if text is not None:
+        (tmp_path / "input.json").write_text(text)
+    code, data = invoke(capsys, argv)
+    assert code == 1
+    assert data["error"] == "InvalidInput" and data["message"]
+
+
+def test_corpus_pretty_writes_out(capsys, tmp_path):
+    # one small desk case keeps the run short; the oracle suite always runs
+    (tmp_path / "cases").mkdir()
+    shutil.copy(DEFAULT_DATA_DIR / "cases" / "KLEIN_GRID.json", tmp_path / "cases")
+    out = tmp_path / "report.json"
+    code = run(["corpus", "--data-dir", str(tmp_path), "--pretty", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 0 and printed.startswith("KLEIN_GRID")
+    report = json.loads(out.read_text())
+    assert report["ok"] and report["results"][0]["case"] == "KLEIN_GRID"
+    assert [r["case"] for r in report["results"]][1:] == [
+        line.split()[0] for line in printed.splitlines()[1:]
+    ]
+
+
+# --- golden output ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["A6_36", "KLEIN_GRID", "SP62_63"])
+def test_atlas_verify_matches_golden_output(capsys, case):
+    # recorded from `permdec atlas verify <case>` before the self-checks moved
+    assert run(["atlas", "verify", case]) == 0
+    golden = (GOLDEN / f"atlas_verify_{case}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permdec import (
     Automorphism,
@@ -16,6 +18,7 @@ from permdec import (
     normaliser_in,
     trivial_group,
 )
+from permdec.brute import product_set
 from permdec.factor import _find_conjugator, prime_divisors
 
 C = Permutation.from_cycles
@@ -152,6 +155,42 @@ def test_conjugation_requires_factorisation(a6):
         conjugation_transitivity_check(a6, a, b)
 
 
+S6_PERMS = st.permutations(range(6)).map(Permutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=S6_PERMS, ys=st.lists(S6_PERMS, min_size=1, max_size=2), swap=st.booleans())
+@example(x=C(6, [tuple(range(6))]), ys=[C(6, [(1, 2, 3, 4, 5)]), C(6, [(1, 2)])], swap=False)
+@example(x=C(6, [(0, 1, 2)]), ys=[C(6, [(3, 4, 5)]), C(6, [(0, 3)])], swap=True)
+def test_factorisation_matches_product_set(x, ys, swap):
+    # G = <A, B> for one cyclic subgroup of S6 and one on one or two generators,
+    # in either order; the order identity must agree with the listed product set
+    a, b = PermGroup([x]), PermGroup(ys)
+    if swap:
+        a, b = b, a
+    g = PermGroup([x, *ys])
+    holds = product_set(a.elements(), b.elements()) == g.element_set()
+    assert is_factorisation(g, a, b).holds == holds
+
+
+def _conjugation_orbit(a, b):
+    """{B^x : x in A}, each conjugate as its element set."""
+    elements = b.elements()
+    return {frozenset(e.conjugate_by(x) for e in elements) for x in a.elements()}
+
+
+def test_conjugation_orbit_sizes_by_enumeration(a6_case, s4):
+    s3 = PermGroup([C(4, [(0, 1, 2)]), C(4, [(0, 1)])])
+    c4 = PermGroup([C(4, [(0, 1, 2, 3)])])
+    a6_pair = (a6_case.group, a6_case.subgroups["A"], a6_case.subgroups["B"])
+    for g, a, b in (a6_pair, (s4, s3, c4)):
+        for x, y in ((a, b), (b, a)):
+            orbit = _conjugation_orbit(x, y)
+            assert len(orbit) == x.order() // normaliser_in(x, y).order()
+            transitive = orbit == _conjugation_orbit(g, y)
+            assert conjugation_transitivity_check(g, x, y) == transitive
+
+
 def test_conjugation_trivial_b(s4):
     assert conjugation_transitivity_check(s4, s4, trivial_group(4))
 
@@ -185,6 +224,17 @@ def test_theta_swaps_a5_classes(a6_case):
     assert _find_conjugator(t, a, b, 10**6) is None
     assert _find_conjugator(t, theta.apply_group(a), b, 10**6) is not None
     assert equivalent_factorisations(t, (a, b), (b, a), [theta])
+
+
+def test_find_conjugator_reaches_every_conjugate(s4):
+    # paths in the conjugation tree of <(0 1)> under S4 run up to three edges deep
+    h = PermGroup([C(4, [(0, 1)])])
+    for y in s4.elements():
+        k = PermGroup([g.conjugate_by(y) for g in h.generators])
+        x = _find_conjugator(s4, h, k, 10**6)
+        assert s4.contains(x)
+        assert PermGroup([g.conjugate_by(x) for g in h.generators]).same_group(k)
+    assert _find_conjugator(s4, h, PermGroup([C(4, [(0, 1), (2, 3)])]), 10**6) is None
 
 
 def test_relabelling_automorphism(s4):

@@ -10,6 +10,7 @@ from permdec import (
     schreier_sims,
     trivial_group,
 )
+from permdec.group import on_points, orbit, transversal
 
 C = Permutation.from_cycles
 
@@ -54,6 +55,26 @@ def test_orbit_and_transversal(a6):
     assert a6.orbit(2) == tuple(range(6))
     for beta, u in trans.items():
         assert u.images[2] == beta
+
+
+def test_orbit_tree_is_breadth_first(a6):
+    tree = orbit(2, a6.generators, on_points)
+    assert tree[2] is None and sorted(tree) == list(range(6))
+    order = {x: i for i, x in enumerate(tree)}
+    for x, edge in tree.items():
+        if edge is not None:
+            parent, s = edge
+            assert order[parent] < order[x] and s.images[parent] == x
+    for x, u in transversal(tree, a6.identity).items():
+        assert u.images[2] == x
+
+
+def test_point_stabiliser_matches_enumeration(s4, a6):
+    fixing = PermGroup([C(5, [(0, 1), (2, 3)]), C(5, [(0, 2), (1, 3)])])
+    for g in (s4, a6, fixing, trivial_group(3)):
+        for point in range(g.degree):
+            want = {x for x in g.elements() if x.images[point] == point}
+            assert g.point_stabiliser(point).element_set() == want
 
 
 def test_point_stabiliser(a6):

@@ -204,8 +204,11 @@ def test_intersection_prunes_by_found_subgroup(k):
 
 def test_structure_has_no_bare_asserts():
     # assert statements vanish under python -O; invariants use errors.check
-    tree = ast.parse(pathlib.Path(structure.__file__).read_text(encoding="utf-8"))
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = []
+    for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert len(found) == 0, found
     with pytest.raises(InternalError) as info:
         check(False, "broken invariant")
     assert isinstance(info.value, PermdecError)
