@@ -37,5 +37,5 @@ print("system subgroup orders:", sorted(k.order() for k in system.subgroups))
 # the two A5 classes are not conjugate in A6, but the outer automorphism
 # theta (realised via the coset action on B) swaps them
 theta = case.outer_automorphism
-print("A conjugate to B in A6:", _find_conjugator(t, a, b, 10**6) is not None)
-print("theta(A) conjugate to B:", _find_conjugator(t, theta.apply_group(a), b, 10**6) is not None)
+print("A conjugate to B in A6:", _find_conjugator(t, a, b) is not None)
+print("theta(A) conjugate to B:", _find_conjugator(t, theta.apply_group(a), b) is not None)

@@ -21,7 +21,6 @@ from .cartesian import (
 )
 from .errors import BudgetExceeded, OrderMismatch, UnknownCase
 from .factor import (
-    NORMALISER_BUDGET,
     Automorphism,
     _find_conjugator,
     conjugation_transitivity_check,
@@ -206,8 +205,8 @@ def _verify_coset_case(record, diff, budget):
         diff.add("self_normalising_intersection", True, n.same_group(inter))
     if record.outer_automorphism is not None:
         theta = record.outer_automorphism
-        swapped = _find_conjugator(t, theta.apply_group(a), b, NORMALISER_BUDGET)
-        unswapped = _find_conjugator(t, a, b, NORMALISER_BUDGET)
+        swapped = _find_conjugator(t, theta.apply_group(a), b)
+        unswapped = _find_conjugator(t, a, b)
         diff.add("outer_automorphism_swaps_classes", (True, True),
                  (swapped is not None, unswapped is None))
         diff.add("pair_equivalent_under_theta", True,

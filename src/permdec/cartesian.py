@@ -11,6 +11,7 @@ stabiliser of the block containing w.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -297,15 +298,12 @@ def validate_system(k):
         if not ok and failing is None:
             failing = i
 
-    prediction = 1
-    for sub in k.subgroups:
-        prediction *= m_order // sub.order()
     return SystemReport(
         valid=eq1 and all(eq2),
         eq1=eq1,
         eq2=tuple(eq2),
         homogeneous=k.is_homogeneous(),
-        omega_prediction=prediction,
+        omega_prediction=math.prod(m_order // sub.order() for sub in k.subgroups),
         orders=tuple(sub.order() for sub in k.subgroups),
         failing_index=failing,
     )
@@ -320,6 +318,15 @@ def plinth_fixes_partitions(m, e):
 
 def to_system(m, e, omega=0):
     """The Cartesian system of block stabilisers at omega."""
+    system = _system_of(m, e, omega)
+    sys_report = validate_system(system)
+    if not sys_report.valid:
+        raise InvalidSystem(f"block stabilisers fail the system equations: {sys_report}")
+    return system
+
+
+def _system_of(m, e, omega):
+    """to_system without validating the system it returns."""
     m.require_transitive()
     report = validate_decomposition(e)
     if not report.valid:
@@ -328,15 +335,8 @@ def to_system(m, e, omega=0):
         for x in m.generators:
             if p.apply(x) != p:
                 raise NotInvariant(f"partition {p!r} is moved by a group generator")
-    subgroups = []
-    for p in e.partitions:
-        gamma = p.block_containing(omega)
-        subgroups.append(setwise_stabiliser(m, gamma))
-    system = CartesianSystem(m, omega, subgroups)
-    sys_report = validate_system(system)
-    if not sys_report.valid:
-        raise InvalidSystem(f"block stabilisers fail the system equations: {sys_report}")
-    return system
+    blocks = [p.block_containing(omega) for p in e.partitions]
+    return CartesianSystem(m, omega, [setwise_stabiliser(m, b) for b in blocks])
 
 
 def covariance_check(m, e, omega, mover):
@@ -353,13 +353,15 @@ def to_decomposition(k):
     report = validate_system(k)
     if not report.valid:
         raise InvalidSystem(f"system equations fail: {report}")
+    return _decomposition_of(k)
+
+
+def _decomposition_of(k):
+    """to_decomposition for a system already validated."""
     m = k.ambient
     m.require_transitive()
-    partitions = []
-    for sub in k.subgroups:
-        block = frozenset(sub.orbit(k.base_point))
-        partitions.append(partition_from_block(m, block))
-    e = CartesianDecomposition(partitions)
+    blocks = [sub.orbit(k.base_point) for sub in k.subgroups]
+    e = CartesianDecomposition([partition_from_block(m, b) for b in blocks])
     if not validate_decomposition(e).valid:
         raise InvalidSystem("translated orbits do not form a Cartesian decomposition")
     return e
@@ -492,8 +494,8 @@ def round_trip_check(g, omega=0, plinth=None, bound=10**6):
     forward_ok = True
     details = []
     for e in decomps:
-        k = to_system(m, e, omega)
-        back = to_decomposition(k)
+        k = to_system(m, e, omega)  # validates k
+        back = _decomposition_of(k)
         good = back == e
         forward_ok = forward_ok and good
         details.append(f"decomposition index {e.index}: round trip {'ok' if good else 'FAIL'}")
@@ -504,8 +506,8 @@ def round_trip_check(g, omega=0, plinth=None, bound=10**6):
         for chosen in block_tuples
     ]
     for k in systems:
-        e = to_decomposition(k)
-        again = to_system(m, e, omega)
+        e = to_decomposition(k)  # validates k
+        again = _system_of(m, e, omega)
         good = again.same_system(k)
         backward_ok = backward_ok and good
         details.append(f"system index {k.index}: round trip {'ok' if good else 'FAIL'}")

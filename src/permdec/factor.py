@@ -2,19 +2,21 @@
 
 All predicates decide by order arithmetic (|A||B| = |G||A intersect B|);
 no product set is enumerated. Automorphisms are never computed from
-scratch; equivalence checking takes caller-supplied maps and searches
-inner adjustments explicitly.
+scratch; equivalence checking takes caller-supplied maps and finds the
+inner adjustment, like every conjugator and normaliser here, by one
+backtrack over the group's stabiliser chain (``structure.conjugator``).
+No group's elements are listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import reduce
 
-from .errors import BudgetExceeded, InvalidInput, NotFactorisation, NotSubgroup
-from .group import PermGroup, orbit
-from .structure import intersect, normaliser_in, prime_divisors
-
-NORMALISER_BUDGET = 2 * 10**5
+from .errors import InvalidInput, NotFactorisation, NotSubgroup
+from .group import PermGroup
+from .structure import conjugator, intersect, normaliser_in, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,8 @@ def is_full_factorisation(t, a, b):
     """A factorisation where |T|, |A|, |B| share the same prime divisors."""
     report = is_factorisation(t, a, b)
     if report.holds and not report.full:
-        return FactorisationReport(
-            False, report.orders, report.prime_sets, False,
-            witness="prime divisor sets differ",
-        )
-    return FactorisationReport(
-        report.holds and report.full, report.orders, report.prime_sets,
-        report.full, report.witness,
-    )
+        return replace(report, holds=False, witness="prime divisor sets differ")
+    return report
 
 
 @dataclass(frozen=True)
@@ -108,57 +104,41 @@ def is_strong_multiple_factorisation(t, subgroups):
         _require_subgroup(t, k, f"K{i + 1}")
     proper = tuple(k.order() < t_order for k in subgroups)
 
-    inter_all = subgroups[0]
-    for k in subgroups[1:]:
-        inter_all = intersect(inter_all, k)
-
+    inter_all = reduce(intersect, subgroups)
     per_index = []
     for i, k in enumerate(subgroups):
-        rest = None
-        for j, other in enumerate(subgroups):
-            if j == i:
-                continue
-            rest = other if rest is None else intersect(rest, other)
+        rest = reduce(intersect, subgroups[:i] + subgroups[i + 1:])
         per_index.append(k.order() * rest.order() == t_order * inter_all.order())
-
-    prediction = 1
-    for k in subgroups:
-        prediction *= t_order // k.order()
-    trivial = not all(proper)
     return MultipleFactorisationReport(
         holds=all(per_index) and all(proper),
         per_index=tuple(per_index),
         proper=proper,
         orders=tuple(k.order() for k in subgroups),
         intersection_order=inter_all.order(),
-        omega_prediction=prediction,
-        trivial=trivial,
+        omega_prediction=math.prod(t_order // k.order() for k in subgroups),
+        trivial=not all(proper),
     )
 
 
 # --- conjugation transitivity -------------------------------------------------
 
 
-def _conjugate_group(k, x):
-    return PermGroup([g.conjugate_by(x) for g in k.generators], degree=k.degree)
-
-
-def conjugation_transitivity_check(g, a, b, budget=NORMALISER_BUDGET):
+def conjugation_transitivity_check(g, a, b):
     """Whether A acts transitively by conjugation on the G-class of B.
 
     Decided by the index identity |A : N_A(B)| = |G : N_G(B)|: the A-orbit
     of B has |A : N_A(B)| members and the G-class of B has |G : N_G(B)|.
-    The tests compare both counts with explicitly enumerated orbits.
+    Both normalisers come from the backtrack search of ``normaliser_in``,
+    which lists no group's elements. The tests compare both counts with
+    explicitly enumerated orbits.
     """
     report = is_factorisation(g, a, b)
     if not report.holds:
         raise NotFactorisation("G = AB does not hold")
     if b.is_trivial():
         return True
-    if g.order() > budget:
-        raise BudgetExceeded(f"group order {g.order()} above bound {budget}")
-    n_g = normaliser_in(g, b, budget=budget)
-    n_a = normaliser_in(a, b, budget=budget)
+    n_g = normaliser_in(g, b)
+    n_a = normaliser_in(a, b)
     return a.order() // n_a.order() == g.order() // n_g.order()
 
 
@@ -192,53 +172,25 @@ class Automorphism:
         return f"Automorphism({self.name or 'unnamed'})"
 
 
-def _conjugate_set(elements, x):
-    x_inv = x.inverse()
-    return frozenset(x_inv * e * x for e in elements)
+def _find_conjugator(g, h, k):
+    """Some x in g with h^x = k, or None."""
+    return conjugator(g, [(h, k)])
 
 
-def _find_conjugator(g, h, k, budget):
-    """Some x in g with h^x = k, or None, from the conjugation orbit of h's elements."""
-    if h.order() != k.order():
-        return None
-    if g.order() > budget:
-        raise BudgetExceeded(f"group order {g.order()} above bound {budget}")
-    tree = orbit(frozenset(h.elements()), g.generators, _conjugate_set)
-    node = frozenset(k.elements())
-    if node not in tree:
-        return None
-    x = g.identity
-    while tree[node] is not None:  # prepend each edge on the way back to the root
-        node, s = tree[node]
-        x = s * x
-    return x
-
-
-def equivalent_factorisations(g, pair1, pair2, automorphisms, budget=NORMALISER_BUDGET):
+def equivalent_factorisations(g, pair1, pair2, automorphisms):
     """Whether some supplied automorphism, adjusted by an inner one, maps
-    the first factorisation pair onto the second as an unordered pair."""
-    a1, b1 = pair1
-    a2, b2 = pair2
-    for a, b in (pair1, pair2):
-        if not is_factorisation(g, a, b).holds:
-            raise NotFactorisation("both pairs must be factorisations")
+    the first factorisation pair onto the second as an unordered pair.
 
-    targets = [(a2, b2), (b2, a2)]
+    Per automorphism beta and order of the second pair, one search looks for
+    an x in g conjugating beta(A1) and beta(B1) onto both targets at once.
+    """
+    for pair in (pair1, pair2):
+        if not is_factorisation(g, *pair).holds:
+            raise NotFactorisation("both pairs must be factorisations")
+    (a1, b1), (a2, b2) = pair1, pair2
     for beta in automorphisms:
-        first = beta.apply_group(a1)
-        second = beta.apply_group(b1)
-        for ta, tb in targets:
-            if first.order() != ta.order() or second.order() != tb.order():
-                continue
-            x = _find_conjugator(g, first, ta, budget)
-            if x is None:
-                continue
-            # all conjugators form x * N_g(ta); scan that coset for one
-            # aligning the second components
-            moved = _conjugate_group(second, x)
-            n_ta = normaliser_in(g, ta, budget=budget)
-            if any(
-                _conjugate_group(moved, n).same_group(tb) for n in n_ta.elements()
-            ):
+        first, second = beta.apply_group(a1), beta.apply_group(b1)
+        for ta, tb in ((a2, b2), (b2, a2)):
+            if conjugator(g, [(first, ta), (second, tb)]) is not None:
                 return True
     return False

@@ -241,9 +241,11 @@ class PermGroup:
         return transversal(orbit(point, self.generators, on_points), self.identity)
 
     def point_stabiliser(self, point):
-        """Stabiliser of a point: level 1 of a chain whose base starts there."""
+        """Stabiliser of a point: level 1 of a chain whose base starts there,
+        the cached one if it does (a base hint sets only the first point)."""
         check_points(self.degree, (point,))
-        levels = self.chain_with_base((point,)).levels
+        chain = self.chain
+        levels = (chain if chain.base[:1] == (point,) else self.chain_with_base((point,))).levels
         return PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
 
     # comparisons --------------------------------------------------------------

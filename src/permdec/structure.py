@@ -1,12 +1,18 @@
 """Subgroup machinery on top of the BSGS engine.
 
-Intersection, setwise stabiliser and coset intersection share one
-backtrack kernel (Butler, LNCS 559; Seress, *Permutation Group
-Algorithms*, ch. 9). It runs over the base images of the searched group's
-stabiliser chain: a node fixes the images of the first base points, and
-the property prunes each candidate image (for the intersection and the
-coset search an exact coset walker on the other group's chain, rebuilt on
-a matching base) and tests each leaf.
+Intersection, setwise stabiliser, coset intersection, normaliser and
+conjugator share one backtrack kernel (Butler, LNCS 559; Seress,
+*Permutation Group Algorithms*, ch. 9). It runs over the base images of
+the searched group's stabiliser chain: a node fixes the images of the
+first base points, and the property prunes each candidate image (for the
+intersection and the coset search an exact coset walker on the other
+group's chain, rebuilt on a matching base) and tests each leaf.
+
+The conjugacy property, x with h^x = k for pairs (h, k) of equal order,
+prunes by orbits (Leon 1991): x maps each h-orbit onto a k-orbit of the
+same length, so a node keeps the orbit correspondence its base images
+force and drops an image that breaks it. The leaf tests h^x <= k on the
+generators of h; N_g(h) is the subgroup with the property for (h, h).
 
 The first-hit mode returns one element with the property. The subgroup
 mode finds the subgroup K of all of them level by level, deepest first.
@@ -398,20 +404,57 @@ def centraliser_in_symmetric(g):
     return cent
 
 
-def normaliser_in(g, h, budget=2 * 10**5):
-    """N_g(h) by filtering the elements of g; desk scale only."""
+def _orbit_ids(h):
+    """Each point's h-orbit as (its first point, its length)."""
+    ids = {}
+    for p in range(h.degree):
+        if p not in ids:
+            points = orbit(p, h.generators, on_points)
+            ids.update(dict.fromkeys(points, (p, len(points))))
+    return ids
+
+
+def _conjugacy(pairs):
+    """refine, leaf and root state for x with h^x = k for each (h, k) in pairs.
+
+    Each h has the order of its k. The state is the orbit correspondence,
+    {(i, 0, h-orbit): k-orbit, (i, 1, k-orbit): h-orbit} for pair i.
+    """
+    ids = [(_orbit_ids(h), _orbit_ids(k)) for h, k in pairs]
+
+    def refine(state, point, image):
+        for i, (h_ids, k_ids) in enumerate(ids):
+            src, dst = h_ids[point], k_ids[image]
+            to, back = (i, 0, src), (i, 1, dst)
+            if src[1] != dst[1] or state.get(to, dst) != dst or state.get(back, src) != src:
+                return None
+            state = {**state, to: dst, back: src}
+        return state
+
+    def leaf(x):
+        # h^x <= k with |h| = |k| is h^x = k
+        return all(k.contains(s.conjugate_by(x)) for h, k in pairs for s in h.generators)
+
+    return refine, leaf, {}
+
+
+def normaliser_in(g, h, node_budget=DEFAULT_NODE_BUDGET):
+    """N_g(h) = {x in g : h^x = h}, by backtrack over g's chain."""
     if g.degree != h.degree:
         raise DegreeMismatch(f"degrees {g.degree} and {h.degree} differ")
-    if g.order() > budget:
-        raise BudgetExceeded(f"group order {g.order()} above bound {budget}")
-    hits = []
-    for x in g.elements():
-        x_inv = x.inverse()
-        if all(h.contains(x_inv * k * x) for k in h.generators):
-            hits.append(x)
-    result = group_from_generators(hits, g.degree)
-    check(result.order() == len(hits), "normaliser elements are not a group")
-    return result
+    refine, leaf, root = _conjugacy([(h, h)])
+    return _Backtrack(g.chain, refine, leaf, "normaliser", node_budget).subgroup(root)
+
+
+def conjugator(g, pairs):
+    """Some x in g with h^x = k for every (h, k) in pairs, or None."""
+    if any(x.degree != g.degree for pair in pairs for x in pair):
+        raise DegreeMismatch(f"a group in the pairs does not have degree {g.degree}")
+    if any(h.order() != k.order() for h, k in pairs):
+        return None
+    refine, leaf, root = _conjugacy(pairs)
+    search = _Backtrack(g.chain, refine, leaf, "conjugator", DEFAULT_NODE_BUDGET)
+    return search.first_hit(0, g.identity, root)
 
 
 # --- coset actions ----------------------------------------------------------

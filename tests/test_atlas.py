@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from permdec import BudgetExceeded, OrderMismatch, UnknownCase
+from permdec import BudgetExceeded, OrderMismatch, UnknownCase, group
 from permdec.atlas import DEFAULT_DATA_DIR, list_cases, load_case, verify_case
 
 DESK = {"KLEIN_GRID", "A6_36", "M12_144", "SP62_63"}
@@ -59,6 +59,16 @@ def test_verify_desk_cases(name):
     report = verify_case(name)
     assert report["ok"], report.get("failures")
     assert all(c["ok"] for c in report["checks"])
+
+
+def test_verify_desk_cases_list_no_elements(monkeypatch):
+    # every row is decided from stabiliser chains and backtrack searches
+    def refuse(chain):
+        raise AssertionError("a desk-scale verify listed group elements")
+
+    monkeypatch.setattr(group._Chain, "elements", refuse)
+    for name in sorted(DESK):
+        assert verify_case(name)["ok"]
 
 
 @pytest.mark.parametrize("name", sorted(METADATA_ONLY))

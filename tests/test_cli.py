@@ -258,7 +258,7 @@ def test_corpus_pretty_writes_out(capsys, tmp_path):
 # --- golden output ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", ["A6_36", "KLEIN_GRID", "SP62_63"])
+@pytest.mark.parametrize("case", ["A6_36", "KLEIN_GRID", "M12_144", "SP62_63"])
 def test_atlas_verify_matches_golden_output(capsys, case):
     # recorded from `permdec atlas verify <case>` before the self-checks moved
     assert run(["atlas", "verify", case]) == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from permdec import (
     Automorphism,
     BudgetExceeded,
+    DegreeMismatch,
     NotFactorisation,
     NotSubgroup,
     PermGroup,
@@ -196,10 +199,11 @@ def test_conjugation_trivial_b(s4):
 
 
 def test_conjugation_budget(m12_case):
-    t = m12_case.group
-    a, b = m12_case.subgroups["A"], m12_case.subgroups["B"]
-    with pytest.raises(BudgetExceeded):
-        conjugation_transitivity_check(t, a, b, budget=100)
+    # N_T(B) takes 79 nodes; the conjugation check's normalisers have no order cap
+    t, b = m12_case.group, m12_case.subgroups["B"]
+    with pytest.raises(BudgetExceeded, match="normaliser search exceeded 50 nodes"):
+        normaliser_in(t, b, node_budget=50)
+    assert normaliser_in(t, b, node_budget=79).order() == 7920
 
 
 # --- automorphisms and equivalence -------------------------------------------------
@@ -221,8 +225,8 @@ def test_theta_swaps_a5_classes(a6_case):
     assert theta is not None
     # the two point-stabiliser classes of A5 inside A6 are not fused by
     # conjugation, but theta maps one onto the other
-    assert _find_conjugator(t, a, b, 10**6) is None
-    assert _find_conjugator(t, theta.apply_group(a), b, 10**6) is not None
+    assert _find_conjugator(t, a, b) is None
+    assert _find_conjugator(t, theta.apply_group(a), b) is not None
     assert equivalent_factorisations(t, (a, b), (b, a), [theta])
 
 
@@ -231,10 +235,74 @@ def test_find_conjugator_reaches_every_conjugate(s4):
     h = PermGroup([C(4, [(0, 1)])])
     for y in s4.elements():
         k = PermGroup([g.conjugate_by(y) for g in h.generators])
-        x = _find_conjugator(s4, h, k, 10**6)
+        x = _find_conjugator(s4, h, k)
         assert s4.contains(x)
         assert PermGroup([g.conjugate_by(x) for g in h.generators]).same_group(k)
-    assert _find_conjugator(s4, h, PermGroup([C(4, [(0, 1), (2, 3)])]), 10**6) is None
+    assert _find_conjugator(s4, h, PermGroup([C(4, [(0, 1), (2, 3)])])) is None
+
+
+def test_find_conjugator_degree_mismatch(s4):
+    with pytest.raises(DegreeMismatch):
+        _find_conjugator(s4, PermGroup([C(5, [(0, 1)])]), PermGroup([C(5, [(1, 2)])]))
+
+
+def conjugates(g, h, k):
+    """The x in g with h^x = k, by enumeration."""
+    if h.order() != k.order():
+        return []
+    k_set = k.element_set()
+    return [x for x in g.elements() if all(s.conjugate_by(x) in k_set for s in h.generators)]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_find_conjugator_matches_enumeration(n):
+    # k is h conjugated by an element of g, of Sym(n), or an unrelated group
+    rng = random.Random(800 + n)
+    sym = PermGroup([C(n, [tuple(range(n))]), C(n, [(0, 1)])])
+
+    def small_group():
+        while True:
+            group = PermGroup([sym.random_element(rng) for _ in range(rng.randint(1, 2))])
+            if group.order() <= 2000:
+                return group
+
+    outcomes = set()
+    for i in range(60):
+        g, h = small_group(), small_group()
+        if i % 3 == 2:
+            k = small_group()
+        else:
+            y = (g if i % 3 == 0 else sym).random_element(rng)
+            k = PermGroup([s.conjugate_by(y) for s in h.generators])
+        x = _find_conjugator(g, h, k)
+        found = conjugates(g, h, k)
+        outcomes.add(x is None)
+        assert (x is None) == (not found)
+        assert x is None or x in found
+    assert outcomes == {True, False}
+
+
+def test_equivalence_pair_search_matches_enumeration():
+    # S6 = S5 X for S5 the stabiliser of 0 and X either regular group of
+    # order 6; S5 conjugates onto S5^y for every y, but C6 never onto S3
+    s6 = PermGroup([C(6, [tuple(range(6))]), C(6, [(0, 1)])])
+    s5 = s6.point_stabiliser(0)
+    c6 = PermGroup([C(6, [tuple(range(6))])])
+    s3 = PermGroup([C(6, [(0, 1, 2), (3, 5, 4)]), C(6, [(0, 3), (1, 4), (2, 5)])])
+    rng = random.Random(900)
+    first_only = 0
+    for x in (c6, s3) * 6:
+        y, z, r = (s6.random_element(rng) for _ in range(3))
+        pair2 = (PermGroup([s.conjugate_by(y) for s in s5.generators]),
+                 PermGroup([s.conjugate_by(z) for s in x.generators]))
+        beta = Automorphism.from_relabelling(r)
+        first, second = beta.apply_group(s5), beta.apply_group(c6)
+        want = any(set(conjugates(s6, first, ta)) & set(conjugates(s6, second, tb))
+                   for ta, tb in (pair2, pair2[::-1]))
+        assert want == (x is c6)
+        first_only += bool(conjugates(s6, first, pair2[0])) and not want
+        assert equivalent_factorisations(s6, (s5, c6), pair2, [beta]) == want
+    assert first_only == 6
 
 
 def test_relabelling_automorphism(s4):

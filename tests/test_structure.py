@@ -202,6 +202,14 @@ def test_intersection_prunes_by_found_subgroup(k):
     assert intersect(a, b, node_budget=1000).order() == math.factorial(k)
 
 
+def test_normaliser_prunes_by_orbits():
+    # N_S10(<(0 1 2)>) = Sym{0,1,2} x Sym{3..9}; with no orbit pruning the
+    # search tries about 700,000 images
+    s10 = PermGroup([C(10, [tuple(range(10))]), C(10, [(0, 1)])])
+    h = PermGroup([C(10, [(0, 1, 2)])])
+    assert normaliser_in(s10, h, node_budget=1000).order() == 6 * math.factorial(7)
+
+
 def test_structure_has_no_bare_asserts():
     # assert statements vanish under python -O; invariants use errors.check
     found = []
@@ -281,6 +289,24 @@ def test_centraliser_regular_abelian(klein):
 
 def test_centraliser_trivial(a6):
     assert centraliser_in_symmetric(a6).order() == 1
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_normaliser_matches_enumeration(n):
+    # h is a subgroup of g half of the time and an arbitrary subgroup of Sym(n) otherwise
+    rng = random.Random(700 + n)
+    proper = 0
+    for _ in range(40):
+        g = random_small_subgroup(n, rng)
+        if rng.random() < 0.5:
+            h = PermGroup([g.random_element(rng) for _ in range(rng.randint(1, 2))], degree=n)
+        else:
+            h = random_small_subgroup(n, rng)
+        h_set = h.element_set()
+        want = {x for x in g.elements() if all(s.conjugate_by(x) in h_set for s in h.generators)}
+        assert normaliser_in(g, h).element_set() == want
+        proper += len(want) < g.order()
+    assert proper >= 10
 
 
 def test_normaliser(s4, klein):
