@@ -22,6 +22,7 @@ from .cartesian import (
 from .errors import BudgetExceeded, OrderMismatch, UnknownCase
 from .factor import (
     Automorphism,
+    _eq2,
     _find_conjugator,
     conjugation_transitivity_check,
     equivalent_factorisations,
@@ -149,10 +150,7 @@ def _verify_direct_case(record, diff):
     g = record.group
     subs = [record.subgroups[k] for k in sorted(record.subgroups)]
     diff.add("T_order", exp["T_order"], g.order())
-    inter = subs[0]
-    for s in subs[1:]:
-        inter = intersect(inter, s)
-    diff.add("intersection_order", exp["intersection_order"], inter.order())
+    diff.add("intersection_order", exp["intersection_order"], _eq2(g, subs)[0].order())
     decs = enumerate_cartesian_decompositions(g, plinth=g)
     diff.add("cd_count", exp["cd_count"], len(decs))
     if decs:
@@ -216,15 +214,14 @@ def _verify_coset_case(record, diff, budget):
 def _verify_abstract_case(record, diff):
     exp = record.expected
     t = record.group
-    subs = [record.subgroups[k] for k in sorted(record.subgroups)]
-    diff.add("T_order", exp["T_order"], t.order())
-    pairs = {}
     labels = sorted(record.subgroups)
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            pairs[f"{labels[i]}&{labels[j]}"] = intersect(subs[i], subs[j]).order()
-    diff.add("pairwise_intersections", exp["pairwise_intersections"], pairs)
+    subs = [record.subgroups[k] for k in labels]
+    diff.add("T_order", exp["T_order"], t.order())
     report = is_strong_multiple_factorisation(t, subs)
+    # for three subgroups the intersection of the others is a pairwise one
+    pairs = sorted(("&".join(labels[:i] + labels[i + 1:]), order)
+                   for i, order in enumerate(report.others_orders))
+    diff.add("pairwise_intersections", exp["pairwise_intersections"], dict(pairs))
     diff.add("triple_intersection", exp["triple_intersection"], report.intersection_order)
     diff.add("strong_multiple_factorisation", exp["strong_multiple_factorisation"],
              report.holds)

@@ -25,10 +25,11 @@ from .errors import (
     NotSubgroup,
     check,
 )
+from .factor import _eq2
 from .group import PermGroup
-from .perm import Partition, Permutation
+from .perm import Partition
 from .structure import (
-    intersect,
+    intersect,  # noqa: F401  re-exported; perfbench's tracer test wraps cartesian.intersect
     interval_subgroups,
     is_innately_transitive,
     partition_from_block,
@@ -183,6 +184,8 @@ class CartesianSystem:
 
     def __init__(self, ambient, base_point, subgroups):
         subgroups = tuple(subgroups)
+        if not subgroups:
+            raise InvalidSystem("no subgroups given")
         if not 0 <= base_point < ambient.degree:
             raise DegreeMismatch(f"base point {base_point} outside the point set")
         for k in subgroups:
@@ -202,14 +205,6 @@ class CartesianSystem:
         m_order = self.ambient.order()
         orders = {k.order() for k in self.subgroups}
         return len(orders) == 1 and m_order not in orders
-
-    def subgroup_intersection(self, skip=None):
-        inter = None
-        for i, k in enumerate(self.subgroups):
-            if i == skip:
-                continue
-            inter = k if inter is None else intersect(inter, k)
-        return inter
 
     def conjugate(self, m):
         return CartesianSystem(
@@ -279,29 +274,16 @@ class SystemReport:
 
 
 def validate_system(k):
-    """Check the defining equations of a Cartesian system by order identities."""
+    """Check eqs. (1) and (2) of a Cartesian system, both from ``factor._eq2``."""
     m = k.ambient
     m_order = m.order()
-    stab = m.point_stabiliser(k.base_point)
-
-    inter_all = k.subgroup_intersection()
-    eq1 = inter_all.same_group(stab)
-
-    # |K_i (inter of others)| = |K_i| |inter of others| / |inter of all|,
-    # so the set condition K_i (inter of others) = M is exactly this identity
-    eq2 = []
-    failing = None
-    for i in range(k.index):
-        others = k.subgroup_intersection(skip=i)
-        ok = k.subgroups[i].order() * others.order() == m_order * inter_all.order()
-        eq2.append(ok)
-        if not ok and failing is None:
-            failing = i
-
+    inter_all, _, eq2 = _eq2(m, k.subgroups)
+    eq1 = inter_all.same_group(m.point_stabiliser(k.base_point))
+    failing = next((i for i, ok in enumerate(eq2) if not ok), None)
     return SystemReport(
         valid=eq1 and all(eq2),
         eq1=eq1,
-        eq2=tuple(eq2),
+        eq2=eq2,
         homogeneous=k.is_homogeneous(),
         omega_prediction=math.prod(m_order // sub.order() for sub in k.subgroups),
         orders=tuple(sub.order() for sub in k.subgroups),
@@ -389,7 +371,7 @@ def _resolve_plinth(g, plinth, bound):
     return plinth
 
 
-def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6, max_index=None):
+def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6):
     """All G_omega-invariant Cartesian systems of the plinth, as block subsets.
 
     Works entirely in the lattice of blocks through omega: a subgroup
@@ -437,7 +419,7 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6, max_index=
         start, chosen, prod = stack.pop()
         if len(chosen) >= 2 and prod == n and eqs_hold(chosen) and gomega_invariant(chosen):
             results.append(tuple(chosen))
-        if prod >= n or (max_index is not None and len(chosen) >= max_index):
+        if prod >= n:
             continue
         for i in reversed(range(start, len(proper))):
             count = n // len(proper[i])
@@ -446,11 +428,9 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6, max_index=
     return m, results
 
 
-def enumerate_cartesian_decompositions(g, omega=0, plinth=None, bound=10**6, max_index=None):
+def enumerate_cartesian_decompositions(g, omega=0, plinth=None, bound=10**6):
     """The complete list of g-invariant Cartesian decompositions, canonical order."""
-    m, block_tuples = enumerate_cartesian_systems(
-        g, omega=omega, plinth=plinth, bound=bound, max_index=max_index
-    )
+    m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth, bound=bound)
     return _decompositions(g, m, block_tuples)
 
 
@@ -486,9 +466,9 @@ class RoundTripReport:
         }
 
 
-def round_trip_check(g, omega=0, plinth=None, bound=10**6):
+def round_trip_check(g, omega=0, plinth=None):
     """Both directions of the decomposition/system bijection on g."""
-    m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth, bound=bound)
+    m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth)
     decomps = _decompositions(g, m, block_tuples)
 
     forward_ok = True

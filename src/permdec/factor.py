@@ -1,18 +1,18 @@
 """Factorisation predicates: plain, full, and strong multiple factorisations.
 
 All predicates decide by order arithmetic (|A||B| = |G||A intersect B|);
-no product set is enumerated. Automorphisms are never computed from
-scratch; equivalence checking takes caller-supplied maps and finds the
-inner adjustment, like every conjugator and normaliser here, by one
-backtrack over the group's stabiliser chain (``structure.conjugator``).
-No group's elements are listed.
+no product set is enumerated. One routine, ``_eq2``, decides eq. (2) for
+a strong multiple factorisation and for ``cartesian.validate_system``.
+Automorphisms are never computed from scratch; equivalence checking takes
+caller-supplied maps and finds the inner adjustment, like every conjugator
+and normaliser here, by one backtrack over the group's stabiliser chain
+(``structure.conjugator``). No group's elements are listed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 from .errors import InvalidInput, NotFactorisation, NotSubgroup
 from .group import PermGroup
@@ -79,6 +79,7 @@ class MultipleFactorisationReport:
     proper: tuple  # properness per subgroup
     orders: tuple
     intersection_order: int
+    others_orders: tuple  # |intersection of all but K_i| for each i
     omega_prediction: int
     trivial: bool  # some member equals the whole group
 
@@ -89,13 +90,38 @@ class MultipleFactorisationReport:
             "proper": list(self.proper),
             "orders": list(self.orders),
             "intersection_order": self.intersection_order,
+            "others_orders": list(self.others_orders),
             "omega_prediction": self.omega_prediction,
             "trivial": self.trivial,
         }
 
 
+def _eq2(t, subgroups):
+    """Eq. (2) for each K_i: whether K_i times the others' intersection is t.
+
+    Returns (all, others, eq2): the intersection of every K_j, that of all
+    but K_i for each i, and the booleans by the order identity
+    |K_i||others_i| = |t||all|. Prefix and suffix folds make each
+    intersection once (3l - 5 calls for l >= 2). That of none is t.
+    """
+
+    def meet(x, y):  # None stands for t
+        return y if x is None else x if y is None else intersect(x, y)
+
+    n = len(subgroups)
+    prefix, suffix = [None], [None]  # meets of the first i and of the last i
+    for i in range(1, n):
+        prefix.append(meet(prefix[-1], subgroups[i - 1]))
+        suffix.append(meet(suffix[-1], subgroups[n - i]))
+    others = [meet(prefix[i], suffix[n - 1 - i]) or t for i in range(n)]
+    inter_all = meet(prefix[-1], subgroups[-1]) if n else t
+    target = t.order() * inter_all.order()
+    eq2 = tuple(k.order() * o.order() == target for k, o in zip(subgroups, others))
+    return inter_all, others, eq2
+
+
 def is_strong_multiple_factorisation(t, subgroups):
-    """K_i times the intersection of the others equals T, for >= 3 subgroups."""
+    """Every K_i proper and K_i times the others' intersection T (``_eq2``), l >= 3."""
     subgroups = list(subgroups)
     if len(subgroups) < 3:
         raise InvalidInput("a strong multiple factorisation needs at least 3 subgroups")
@@ -104,17 +130,14 @@ def is_strong_multiple_factorisation(t, subgroups):
         _require_subgroup(t, k, f"K{i + 1}")
     proper = tuple(k.order() < t_order for k in subgroups)
 
-    inter_all = reduce(intersect, subgroups)
-    per_index = []
-    for i, k in enumerate(subgroups):
-        rest = reduce(intersect, subgroups[:i] + subgroups[i + 1:])
-        per_index.append(k.order() * rest.order() == t_order * inter_all.order())
+    inter_all, others, per_index = _eq2(t, subgroups)
     return MultipleFactorisationReport(
         holds=all(per_index) and all(proper),
-        per_index=tuple(per_index),
+        per_index=per_index,
         proper=proper,
         orders=tuple(k.order() for k in subgroups),
         intersection_order=inter_all.order(),
+        others_orders=tuple(o.order() for o in others),
         omega_prediction=math.prod(t_order // k.order() for k in subgroups),
         trivial=not all(proper),
     )

@@ -81,18 +81,17 @@ def prime_divisors(n):
 #
 # Tracks the solution set {x in K : x(q_j) = c_j for all processed
 # constraints} as a right coset H_level * w of K's stabiliser chain, where
-# the chain base follows the constraint points in order.
+# the chain base follows the constraint points in order. Only w^-1 is kept:
+# it is all that constrain reads.
 
 
 class _Walker:
-    __slots__ = ("chain", "level", "w", "w_inv")
+    __slots__ = ("chain", "level", "w_inv")
 
-    def __init__(self, chain, level=0, w=None, w_inv=None):
+    def __init__(self, chain, level=0, w_inv=None):
         self.chain = chain
         self.level = level
-        ident = Permutation.identity(chain.degree)
-        self.w = w if w is not None else ident
-        self.w_inv = w_inv if w_inv is not None else ident
+        self.w_inv = Permutation.identity(chain.degree) if w_inv is None else w_inv
 
     def constrain(self, q, c):
         """Child walker after adding x(q) = c, or None if no x remains."""
@@ -100,10 +99,9 @@ class _Walker:
         if self.level < len(self.chain.levels):
             lv = self.chain.levels[self.level]
             check(lv.point == q, "chain base out of step with constraints")
-            u = lv.transversal.get(target)
-            if u is None:
+            if target not in lv.transversal:
                 return None
-            return _Walker(self.chain, self.level + 1, u * self.w, self.w_inv * lv.inv[target])
+            return _Walker(self.chain, self.level + 1, self.w_inv * lv.inv[target])
         return self if target == q else None
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 import shutil
 
 import pytest
@@ -124,3 +126,17 @@ def test_sp62_values(sp62_case):
     assert exp["omega_size"] == 120960
     assert exp["triple_intersection"] == 12
     assert sorted(exp["indices"]) == [28, 36, 120]
+
+
+def test_generator_reproduces_bundled_data(capsys):
+    # the regeneration tool rebuilds and checks every file under data/;
+    # rendered() returns the texts without writing anything
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_case_data.py"
+    spec = importlib.util.spec_from_file_location("gen_case_data", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    files = tool.rendered()
+    bundled = sorted(DEFAULT_DATA_DIR.rglob("*.json"))
+    assert sorted(files) == bundled
+    for file, text in files.items():
+        assert file.read_bytes() == text.encode(), file.name

@@ -180,6 +180,23 @@ def test_invalid_system_raises(klein):
         to_decomposition(CartesianSystem(klein, 0, [k1, k1]))
 
 
+def test_trivial_decomposition_round_trips(klein):
+    # the discrete partition alone is the index-1 decomposition; its system
+    # is {M_w}, and the intersection of no other subgroups is M itself
+    e = CartesianDecomposition([Partition.discrete(4)])
+    assert validate_decomposition(e).valid
+    system = to_system(klein, e, 0)
+    assert system.index == 1 and system.subgroups[0].is_trivial()
+    report = validate_system(system)
+    assert report.valid and report.eq2 == (True,) and report.omega_prediction == 4
+    assert to_decomposition(system) == e
+
+
+def test_empty_system_raises(klein):
+    with pytest.raises(InvalidSystem):
+        CartesianSystem(klein, 0, [])
+
+
 def test_round_trip_klein(klein):
     report = round_trip_check(klein, plinth=klein)
     assert report.ok and report.decomposition_count == 3

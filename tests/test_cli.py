@@ -82,6 +82,17 @@ def test_verify_system(capsys, files):
     assert code == 1 and not data["valid"]
 
 
+def test_verify_system_one_and_no_subgroups(capsys, tmp_path):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({**SYSTEM, "subgroups": [[[0, 1, 2, 3]]]}))
+    code, data = invoke(capsys, ["verify-system", "--system", str(one)])
+    assert code == 0 and data["valid"] and data["eq2"] == [True]
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({**SYSTEM, "subgroups": []}))
+    code, data = invoke(capsys, ["verify-system", "--system", str(empty)])
+    assert code == 1 and data["error"] == "InvalidSystem"
+
+
 def test_to_system_and_back(capsys, files, tmp_path):
     out = str(tmp_path / "sys_out.json")
     code, data = invoke(

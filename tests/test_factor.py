@@ -21,8 +21,9 @@ from permdec import (
     normaliser_in,
     trivial_group,
 )
+from permdec import atlas, cartesian, factor, structure
 from permdec.brute import product_set
-from permdec.factor import _find_conjugator, prime_divisors
+from permdec.factor import _eq2, _find_conjugator, prime_divisors
 
 C = Permutation.from_cycles
 
@@ -111,6 +112,87 @@ def test_sp62_strong_multiple(sp62_case):
     assert sorted(report.orders) == [12096, 40320, 51840]
     assert report.intersection_order == 12
     assert report.omega_prediction == 120960
+
+
+def test_sp62_others_orders_are_the_pairwise_intersections(sp62_case):
+    t = sp62_case.group
+    k1, k2, k3 = (sp62_case.subgroups[k] for k in ("K1", "K2", "K3"))
+    report = is_strong_multiple_factorisation(t, [k1, k2, k3])
+    assert report.others_orders == (1440, 336, 432)
+    assert report.others_orders[0] == intersect(k2, k3).order()
+    assert report.to_json()["others_orders"] == [1440, 336, 432]
+
+
+def _small_subgroup(n, rng):
+    """A subgroup of Sym(n) of order at most 720 on one or two random generators."""
+    while True:
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            support = rng.sample(range(n), rng.randint(2, n))
+            images = list(range(n))
+            for src, dst in zip(support, rng.sample(support, len(support))):
+                images[src] = dst
+            gens.append(Permutation(images) ** rng.randint(1, 3))
+        group = PermGroup(gens, degree=n)
+        if group.order() <= 720:
+            return group
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_eq2_intersections_match_enumeration(n):
+    # lists of 1-4 members, drawn with repeats from random subgroups plus the
+    # trivial and the whole group; every intersection the routine returns must
+    # be the intersection of the members' element sets
+    rng = random.Random(600 + n)
+    t = PermGroup([C(n, [tuple(range(n))]), C(n, [(0, 1)])])
+    pool = [trivial_group(n), t] + [_small_subgroup(n, rng) for _ in range(6)]
+    sets = {id(k): k.element_set() for k in pool}
+    t_set = sets[id(t)]
+    for _ in range(30):
+        subs = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        inter_all, others, eq2 = _eq2(t, subs)
+        assert inter_all.element_set() == t_set.intersection(*(sets[id(k)] for k in subs))
+        assert len(others) == len(eq2) == len(subs)
+        for i, k in enumerate(subs):
+            rest = t_set.intersection(*(sets[id(j)] for j in subs[:i] + subs[i + 1:]))
+            assert others[i].element_set() == rest
+            if len(sets[id(k)]) * len(rest) <= 40000:
+                assert eq2[i] == (product_set(k.elements(), others[i].elements()) == t_set)
+
+
+def _count_intersect(monkeypatch):
+    calls = []
+    original = structure.intersect
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (atlas, cartesian, factor, structure):
+        monkeypatch.setattr(module, "intersect", counted)
+    return calls
+
+
+def test_eq2_makes_each_intersection_once(monkeypatch, s4):
+    # prefix and suffix folds: 3l - 5 intersect calls for l >= 2 members
+    members = [
+        PermGroup([C(4, [(0, 1)])]),
+        PermGroup([C(4, [(1, 2)])]),
+        PermGroup([C(4, [(2, 3)])]),
+        PermGroup([C(4, [(0, 1, 2)])]),
+    ]
+    for count, want in ((0, 0), (1, 0), (2, 1), (3, 4), (4, 7)):
+        calls = _count_intersect(monkeypatch)
+        inter_all, others, _ = _eq2(s4, members[:count])
+        assert len(calls) == want
+    assert inter_all.is_trivial() and len(others) == 4
+    assert _eq2(s4, [])[0] is s4 and _eq2(s4, members[:1])[1] == [s4]
+
+
+def test_sp62_verify_intersects_four_times(monkeypatch):
+    calls = _count_intersect(monkeypatch)
+    assert atlas.verify_case("SP62_63")["ok"]
+    assert len(calls) == 4
 
 
 def test_smf_needs_three(a6):

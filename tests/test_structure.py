@@ -211,9 +211,13 @@ def test_normaliser_prunes_by_orbits():
 
 
 def test_structure_has_no_bare_asserts():
-    # assert statements vanish under python -O; invariants use errors.check
+    # assert statements vanish under python -O; invariants use errors.check,
+    # and the case-data generator under tools/ raises explicitly as well
+    tools = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    paths = [*pathlib.Path(structure.__file__).parent.glob("*.py"), *tools.glob("*.py")]
+    assert any(p.parent.name == "tools" for p in paths)
     found = []
-    for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [(path.name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert len(found) == 0, found

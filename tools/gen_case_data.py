@@ -3,8 +3,11 @@
 Constructions are deterministic: explicit generator words where known,
 plus seeded random subgroup searches (seed 20260823) for the two
 subgroups that are easiest to find that way. Every generated record is
-verified against the expected orders before it is written, so a failed
-regeneration never overwrites good data.
+verified against the expected orders before anything is written, so a
+failed regeneration never overwrites good data. The checks raise
+explicitly and so hold under ``python -O`` as well.
+
+Run from the repository root: ``python3 tools/gen_case_data.py``.
 """
 
 import json
@@ -25,6 +28,11 @@ SEED = 20260823
 C = Permutation.from_cycles
 
 
+def require(condition, what):
+    if not condition:
+        raise RuntimeError(f"case data check failed: {what}")
+
+
 def gens_json(group):
     return [list(g.images) for g in group.generators]
 
@@ -40,7 +48,7 @@ def klein_case():
     g = PermGroup([C(4, [(0, 1), (2, 3)]), C(4, [(0, 2), (1, 3)])], name="V4")
     k1 = PermGroup([C(4, [(0, 1), (2, 3)])])
     k2 = PermGroup([C(4, [(0, 2), (1, 3)])])
-    assert g.order() == 4 and k1.order() == 2 and k2.order() == 2
+    require(g.order() == 4 and k1.order() == 2 and k2.order() == 2, "Klein orders")
     return {
         "name": "KLEIN_GRID",
         "desk_scale": True,
@@ -69,11 +77,10 @@ def a6_case():
     t = PermGroup([C(6, [(0, 1, 2, 3, 4)]), C(6, [(1, 2, 3, 4, 5)])], name="A6")
     a = PermGroup([C(6, [(0, 1, 2, 3, 4)]), C(6, [(0, 1, 2)])], name="A5")
     b = PermGroup([C(6, [(0, 1, 2, 3, 4)]), C(6, [(0, 5), (1, 4)])], name="L2(5)")
-    assert t.order() == 360
-    assert a.order() == 60 and all(g.images[5] == 5 for g in a.generators)
-    assert b.order() == 60 and b.is_transitive()
-    d = intersect(a, b)
-    assert d.order() == 10
+    require(t.order() == 360, "|A6| = 360")
+    require(a.order() == 60 and all(g.images[5] == 5 for g in a.generators), "A5 fixes 5")
+    require(b.order() == 60 and b.is_transitive(), "L2(5) is transitive of order 60")
+    require(intersect(a, b).order() == 10, "|A5 ∩ L2(5)| = 10")
     return {
         "name": "A6_36",
         "desk_scale": True,
@@ -107,9 +114,10 @@ def m12_case():
     b = C(n, [(2, 6, 10, 7), (3, 9, 4, 5)])
     c = C(n, [(0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)])
     t = PermGroup([a, b, c], name="M12")
-    assert t.order() == 95040
+    require(t.order() == 95040, "|M12| = 95040")
     sub_a = PermGroup([a, b], name="M11")
-    assert sub_a.order() == 7920 and all(g.images[11] == 11 for g in sub_a.generators)
+    require(sub_a.order() == 7920 and all(g.images[11] == 11 for g in sub_a.generators),
+            "M11 fixes 11")
 
     rng = random.Random(SEED)
     sub_b = None
@@ -120,9 +128,8 @@ def m12_case():
             sub_b = cand
             print(f"M12: transitive M11 found at trial {trial}")
             break
-    assert sub_b is not None
-    d = intersect(sub_a, sub_b)
-    assert d.order() == 660
+    require(sub_b is not None, "a transitive M11 is found")
+    require(intersect(sub_a, sub_b).order() == 660, "|M11 ∩ M11'| = 660")
     return {
         "name": "M12_144",
         "desk_scale": True,
@@ -183,7 +190,7 @@ def transvection(v):
 def sp62_case():
     all_t = [transvection(v) for v in range(1, 64)]
     t = group_from_generators(all_t, 63, name="Sp6(2)")
-    assert t.order() == 1451520 and t.is_transitive()
+    require(t.order() == 1451520 and t.is_transitive(), "Sp6(2) is transitive of order 1451520")
 
     o_plus = group_from_generators(
         [transvection(v) for v in range(1, 64) if q_plus(v)], 63, name="O6+(2)"
@@ -191,8 +198,8 @@ def sp62_case():
     o_minus = group_from_generators(
         [transvection(v) for v in range(1, 64) if q_minus(v)], 63, name="O6-(2)"
     )
-    assert o_plus.order() == 40320
-    assert o_minus.order() == 51840
+    require(o_plus.order() == 40320, "|O6+(2)| = 40320")
+    require(o_minus.order() == 51840, "|O6-(2)| = 51840")
 
     rng = random.Random(SEED)
     g2 = None
@@ -204,13 +211,14 @@ def sp62_case():
             g2 = cand
             print(f"Sp6(2): order-12096 subgroup found at trial {trial}")
             break
-    assert g2 is not None
+    require(g2 is not None, "an order-12096 subgroup is found")
 
     i12 = intersect(g2, o_minus)
     i13 = intersect(g2, o_plus)
     i23 = intersect(o_minus, o_plus)
     triple = intersect(i12, o_plus)
-    assert (i12.order(), i13.order(), i23.order(), triple.order()) == (432, 336, 1440, 12)
+    require((i12.order(), i13.order(), i23.order(), triple.order()) == (432, 336, 1440, 12),
+            "Sp6(2) intersection orders")
     return {
         "name": "SP62_63",
         "desk_scale": True,
@@ -308,7 +316,7 @@ def corpus():
 
     def add(name, gens, degree, plinth_gens=None, expected_cd=None):
         g = PermGroup(gens, degree=degree, name=name)
-        assert g.is_transitive()
+        require(g.is_transitive(), f"{name} is transitive")
         entry = {
             "name": name,
             "degree": degree,
@@ -317,7 +325,8 @@ def corpus():
         }
         if plinth_gens is not None:
             m = PermGroup(plinth_gens, degree=degree)
-            assert m.is_transitive() and m.is_subgroup_of(g)
+            require(m.is_transitive() and m.is_subgroup_of(g),
+                    f"{name}: the plinth is a transitive subgroup")
             entry["plinth"] = [list(p.images) for p in plinth_gens]
         entries.append(entry)
 
@@ -342,17 +351,20 @@ def corpus():
     return entries
 
 
-def main():
-    cases_dir = DATA / "cases"
-    cases_dir.mkdir(parents=True, exist_ok=True)
+def rendered():
+    """Every bundled data file as {path: text}, built and checked; nothing is written."""
     cases = [klein_case(), a6_case(), m12_case(), sp62_case()] + metadata_cases()
-    for case in cases:
-        path = cases_dir / f"{case['name']}.json"
-        path.write_text(json.dumps(case, indent=1) + "\n")
+    files = {DATA / "cases" / f"{case['name']}.json": case for case in cases}
+    files[DATA / "corpus.json"] = corpus()
+    return {path: json.dumps(data, indent=1) + "\n" for path, data in files.items()}
+
+
+def main():
+    files = rendered()
+    (DATA / "cases").mkdir(parents=True, exist_ok=True)
+    for path, text in files.items():
+        path.write_text(text)
         print("wrote", path)
-    corpus_path = DATA / "corpus.json"
-    corpus_path.write_text(json.dumps(corpus(), indent=1) + "\n")
-    print("wrote", corpus_path)
 
 
 if __name__ == "__main__":
