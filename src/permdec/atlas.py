@@ -13,12 +13,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from . import io
-from .cartesian import (
-    enumerate_cartesian_decompositions,
-    round_trip_check,
-    to_system,
-    validate_system,
-)
+from .cartesian import _system_of, round_trip_check, to_system, validate_system
 from .errors import BudgetExceeded, OrderMismatch, UnknownCase
 from .factor import (
     Automorphism,
@@ -151,15 +146,14 @@ def _verify_direct_case(record, diff):
     subs = [record.subgroups[k] for k in sorted(record.subgroups)]
     diff.add("T_order", exp["T_order"], g.order())
     diff.add("intersection_order", exp["intersection_order"], _eq2(g, subs)[0].order())
-    decs = enumerate_cartesian_decompositions(g, plinth=g)
-    diff.add("cd_count", exp["cd_count"], len(decs))
-    if decs:
-        e = decs[0]
+    rt = round_trip_check(g, plinth=g)
+    diff.add("cd_count", exp["cd_count"], rt.decomposition_count)
+    if rt.decompositions:
+        e = rt.decompositions[0]
         diff.add("index", exp["index"], e.index)
         system = to_system(g, e, 0)
         diff.add("K_orders", exp["K_orders"], sorted(k.order() for k in system.subgroups))
         diff.add("W_order", exp["W_order"], full_stabiliser(e).group.order())
-    rt = round_trip_check(g, plinth=g)
     diff.add("round_trip", True, rt.ok)
 
 
@@ -182,16 +176,16 @@ def _verify_coset_case(record, diff, budget):
     diff.add("point_stabiliser_order", exp["intersection_order"],
              g.point_stabiliser(0).order())
 
-    decs = enumerate_cartesian_decompositions(g, plinth=g)
-    diff.add("cd_count", exp["cd_count"], len(decs))
-    e = decs[0]
+    rt = round_trip_check(g, plinth=g)
+    diff.add("cd_count", exp["cd_count"], rt.decomposition_count)
+    e = rt.decompositions[0]
     diff.add("index", exp["index"], e.index)
     diff.add("homogeneous", True, e.is_homogeneous())
-    system = to_system(g, e, 0)
-    diff.add("K_orders", exp["K_orders"], sorted(k.order() for k in system.subgroups))
-    diff.add("system_valid", True, validate_system(system).valid)
+    report = validate_system(_system_of(g, e, 0))
+    diff.add("K_orders", exp["K_orders"], sorted(report.orders))
+    diff.add("system_valid", True, report.valid)
     diff.add("W_order", exp["W_order"], full_stabiliser(e).group.order())
-    diff.add("round_trip", True, round_trip_check(g, plinth=g).ok)
+    diff.add("round_trip", True, rt.ok)
     if exp.get("quasiprimitive"):
         diff.add("trivial_centraliser", 1, centraliser_in_symmetric(g).order())
     if exp.get("full_factorisation"):

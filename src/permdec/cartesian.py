@@ -335,11 +335,6 @@ def to_decomposition(k):
     report = validate_system(k)
     if not report.valid:
         raise InvalidSystem(f"system equations fail: {report}")
-    return _decomposition_of(k)
-
-
-def _decomposition_of(k):
-    """to_decomposition for a system already validated."""
     m = k.ambient
     m.require_transitive()
     blocks = [sub.orbit(k.base_point) for sub in k.subgroups]
@@ -431,19 +426,19 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6):
 def enumerate_cartesian_decompositions(g, omega=0, plinth=None, bound=10**6):
     """The complete list of g-invariant Cartesian decompositions, canonical order."""
     m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth, bound=bound)
-    return _decompositions(g, m, block_tuples)
+    return sorted(set(_decompositions(g, m, block_tuples)))
 
 
 def _decompositions(g, m, block_tuples):
-    """The decompositions of the plinth m's block tuples, checked and sorted."""
-    out = set()
+    """The checked decomposition of each of the plinth m's block tuples, in order."""
+    out = []
     for chosen in block_tuples:
         e = CartesianDecomposition([partition_from_block(m, b) for b in chosen])
         check(validate_decomposition(e).valid, "translated blocks are not a decomposition")
         check(is_invariant(g, e).invariant, "an enumerated decomposition is not g-invariant")
         check(plinth_fixes_partitions(m, e), "the plinth moves an enumerated partition")
-        out.add(e)
-    return sorted(out)
+        out.append(e)
+    return out
 
 
 @dataclass(frozen=True)
@@ -452,6 +447,7 @@ class RoundTripReport:
     forward_ok: bool
     backward_ok: bool
     details: tuple = field(default_factory=tuple)
+    decompositions: tuple = ()  # sorted; not part of to_json
 
     @property
     def ok(self):
@@ -467,33 +463,37 @@ class RoundTripReport:
 
 
 def round_trip_check(g, omega=0, plinth=None):
-    """Both directions of the decomposition/system bijection on g."""
+    """Both directions of the decomposition/system bijection on g, in one pass.
+
+    Each enumerated block tuple gives a decomposition e (the translates of
+    its blocks) and a system K (the setwise stabilisers in M of its
+    blocks). The blocks of e through omega are the tuple's blocks, so K is
+    the system of e by construction, and one check per direction suffices:
+
+    - forward, e -> K -> e: ``to_decomposition(K)`` validates K once and
+      must give back e;
+    - backward, K -> e -> K: the block stabilisers of e at omega
+      (``_system_of``) must be the same system as K.
+
+    Two tuples giving one decomposition show as a count mismatch. The
+    report also carries the sorted decompositions.
+    """
     m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth)
-    decomps = _decompositions(g, m, block_tuples)
+    forward, backward = {}, []
+    for chosen, e in zip(block_tuples, _decompositions(g, m, block_tuples)):
+        k = CartesianSystem(m, omega, [setwise_stabiliser(m, b) for b in chosen])
+        forward[e] = to_decomposition(k) == e
+        backward.append((k.index, _system_of(m, e, omega).same_system(k)))
+    decomps = sorted(forward)
 
-    forward_ok = True
-    details = []
-    for e in decomps:
-        k = to_system(m, e, omega)  # validates k
-        back = _decomposition_of(k)
-        good = back == e
-        forward_ok = forward_ok and good
-        details.append(f"decomposition index {e.index}: round trip {'ok' if good else 'FAIL'}")
-
-    backward_ok = True
-    systems = [
-        CartesianSystem(m, omega, [setwise_stabiliser(m, b) for b in chosen])
-        for chosen in block_tuples
-    ]
-    for k in systems:
-        e = to_decomposition(k)  # validates k
-        again = _system_of(m, e, omega)
-        good = again.same_system(k)
-        backward_ok = backward_ok and good
-        details.append(f"system index {k.index}: round trip {'ok' if good else 'FAIL'}")
-
-    if len(systems) != len(decomps):
+    details = [f"decomposition index {e.index}: round trip {'ok' if forward[e] else 'FAIL'}"
+               for e in decomps]
+    details += [f"system index {index}: round trip {'ok' if good else 'FAIL'}"
+                for index, good in backward]
+    backward_ok = all(good for _, good in backward)
+    if len(backward) != len(decomps):
         backward_ok = False
-        details.append(f"count mismatch: {len(systems)} systems vs {len(decomps)} decompositions")
+        details.append(f"count mismatch: {len(backward)} systems vs {len(decomps)} decompositions")
 
-    return RoundTripReport(len(decomps), forward_ok, backward_ok, tuple(details))
+    return RoundTripReport(len(decomps), all(forward.values()), backward_ok, tuple(details),
+                           tuple(decomps))

@@ -298,10 +298,8 @@ def _blocks_through(g, omega):
 def interval_subgroups(g, omega):
     """All (block, stabiliser) pairs for subgroups between G_omega and G."""
     raw = _blocks_through(g, omega)
-    out = []
-    for block in sorted(raw, key=lambda b: (len(b), sorted(b))):
-        out.append((block, group_from_generators(raw[block], g.degree)))
-    return out
+    return [(block, PermGroup(raw[block], degree=g.degree))
+            for block in sorted(raw, key=lambda b: (len(b), sorted(b)))]
 
 
 def partition_from_block(g, block):

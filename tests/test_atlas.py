@@ -2,10 +2,12 @@ import importlib.util
 import json
 import pathlib
 import shutil
+import sys
+from collections import Counter
 
 import pytest
 
-from permdec import BudgetExceeded, OrderMismatch, UnknownCase, group
+from permdec import BudgetExceeded, OrderMismatch, UnknownCase, cartesian, group, structure
 from permdec.atlas import DEFAULT_DATA_DIR, list_cases, load_case, verify_case
 
 DESK = {"KLEIN_GRID", "A6_36", "M12_144", "SP62_63"}
@@ -71,6 +73,28 @@ def test_verify_desk_cases_list_no_elements(monkeypatch):
     monkeypatch.setattr(group._Chain, "elements", refuse)
     for name in sorted(DESK):
         assert verify_case(name)["ok"]
+
+
+def test_a6_verify_walks_its_one_system_once(monkeypatch):
+    # the round trip enumerates once and validates each system once; the
+    # atlas reads the decompositions from it and validates its own K once
+    calls = Counter()
+    for name, owner in (("enumerate_cartesian_systems", cartesian),
+                        ("validate_system", cartesian),
+                        ("setwise_stabiliser", structure)):
+        original = getattr(owner, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("permdec")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert verify_case("A6_36")["ok"]
+    assert calls == {"enumerate_cartesian_systems": 1, "validate_system": 2,
+                     "setwise_stabiliser": 6}
 
 
 @pytest.mark.parametrize("name", sorted(METADATA_ONLY))

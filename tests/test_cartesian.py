@@ -25,6 +25,8 @@ from permdec import (
     validate_decomposition,
     validate_system,
 )
+from permdec import cartesian
+from permdec.atlas import load_case
 from permdec.brute import brute_force_decompositions, product_set
 from permdec.wreath import natural_decomposition, product_action_wreath, WreathSpec
 
@@ -200,6 +202,48 @@ def test_empty_system_raises(klein):
 def test_round_trip_klein(klein):
     report = round_trip_check(klein, plinth=klein)
     assert report.ok and report.decomposition_count == 3
+
+
+def _another(decs, e):
+    return next(d for d in decs if d != e)
+
+
+def test_round_trip_catches_a_wrong_decomposition(monkeypatch):
+    g = load_case("KLEIN_GRID").group
+    decs = enumerate_cartesian_decompositions(g, plinth=g)
+    assert len(decs) == 3
+    right = cartesian.to_decomposition
+    monkeypatch.setattr(cartesian, "to_decomposition", lambda k: _another(decs, right(k)))
+    report = round_trip_check(g, plinth=g)
+    assert not report.forward_ok and not report.ok
+    assert report.decomposition_count == 3
+
+
+def test_round_trip_catches_a_wrong_system(monkeypatch):
+    g = load_case("KLEIN_GRID").group
+    decs = enumerate_cartesian_decompositions(g, plinth=g)
+    right = cartesian._system_of
+    monkeypatch.setattr(cartesian, "_system_of",
+                        lambda m, e, omega: right(m, _another(decs, e), omega))
+    report = round_trip_check(g, plinth=g)
+    assert report.forward_ok and not report.backward_ok and not report.ok
+    assert report.decomposition_count == 3
+
+
+def test_round_trip_catches_two_tuples_with_one_decomposition(monkeypatch):
+    g = load_case("KLEIN_GRID").group
+    e = enumerate_cartesian_decompositions(g, plinth=g)[0]
+    monkeypatch.setattr(cartesian, "_decompositions", lambda g, m, tuples: [e] * len(tuples))
+    report = round_trip_check(g, plinth=g)
+    assert not report.backward_ok and report.decomposition_count == 1
+    assert report.details[-1] == "count mismatch: 3 systems vs 1 decompositions"
+
+
+def test_round_trip_report_carries_the_sorted_decompositions(a6_36, klein):
+    for g in (a6_36, klein):
+        report = round_trip_check(g, plinth=g)
+        assert list(report.decompositions) == enumerate_cartesian_decompositions(g, plinth=g)
+        assert "decompositions" not in report.to_json()
 
 
 def test_round_trip_s4_vacuous(s4):

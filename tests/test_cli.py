@@ -275,3 +275,9 @@ def test_atlas_verify_matches_golden_output(capsys, case):
     assert run(["atlas", "verify", case]) == 0
     golden = (GOLDEN / f"atlas_verify_{case}.json").read_bytes()
     assert capsys.readouterr().out.encode() == golden
+
+
+def test_corpus_matches_golden_output(capsys):
+    # recorded from `permdec corpus` before the round trip became one pass
+    assert run(["corpus"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "corpus.json").read_bytes()
