@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import (
-    BudgetExceeded,
     DegreeMismatch,
     InvalidDecomposition,
     InvalidSystem,
@@ -29,14 +28,13 @@ from .factor import _eq2
 from .group import PermGroup
 from .perm import Partition
 from .structure import (
+    ORDER_BOUND,
     intersect,  # noqa: F401  re-exported; perfbench's tracer test wraps cartesian.intersect
     interval_subgroups,
     is_innately_transitive,
     partition_from_block,
     setwise_stabiliser,
 )
-
-VALIDATION_CAP = 10**7
 
 
 class CartesianDecomposition:
@@ -106,24 +104,21 @@ class DecompositionReport:
         }
 
 
-def validate_decomposition(e, cap=VALIDATION_CAP):
+def validate_decomposition(e):
     """Check the one-point-per-block-choice condition.
 
     Decided by injectivity of the point -> block-index-tuple map together
     with the product count, which is equivalent to inspecting all block
     choices. A concrete offending block choice is reported as witness.
+    Neither scan passes degree + 1 steps: a repeated tuple ends the first,
+    and when the degree points have distinct tuples one of the first
+    degree + 1 tuples in product order is unused.
     """
-    total = 1
-    for p in e.partitions:
-        total *= p.block_count
-    if total > cap:
-        raise BudgetExceeded(f"{total} block choices exceed the cap {cap}")
-
+    total = math.prod(p.block_count for p in e.partitions)
     indexers = [p.block_index_of() for p in e.partitions]
     seen = {}
     witness = None
-    for point in range(e.degree):
-        key = tuple(ix[point] for ix in indexers)
+    for point, key in enumerate(zip(*indexers)):
         if key in seen:
             witness = tuple(e.partitions[i].blocks[k] for i, k in enumerate(key))
             break
@@ -366,22 +361,22 @@ def _resolve_plinth(g, plinth, bound):
     return plinth
 
 
-def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6):
+def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=ORDER_BOUND):
     """All G_omega-invariant Cartesian systems of the plinth, as block subsets.
 
     Works entirely in the lattice of blocks through omega: a subgroup
     between M_omega and M corresponds to the block that is its
     omega-orbit, intersections of subgroups correspond to intersections
     of blocks, and the system equations become counting conditions on
-    blocks. Returns (plinth, list of block tuples).
+    blocks. Returns (plinth, list of block tuples, block -> stabiliser in
+    the plinth), the stabilisers as the lattice generates them.
     """
     g.require_transitive()
     m = _resolve_plinth(g, plinth, bound)
     n = g.degree
 
-    blocks = [b for b, _ in interval_subgroups(m, omega)]
-    proper = sorted((b for b in blocks if 1 < len(b) < n), key=lambda b: (len(b), sorted(b)))
-    block_set = set(blocks)
+    stabilisers = dict(interval_subgroups(m, omega))
+    proper = [b for b in stabilisers if 1 < len(b) < n]  # already in (size, points) order
 
     stab_gens = g.point_stabiliser(omega).generators
 
@@ -394,7 +389,7 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6):
         for i in range(len(chosen)):
             rest = [b for j, b in enumerate(chosen) if j != i]
             other = frozenset.intersection(*rest)
-            check(other in block_set, "an intersection of blocks through omega is not a block")
+            check(other in stabilisers, "an intersection of blocks through omega is not a block")
             if len(chosen[i]) * len(other) != n:
                 return False
         return True
@@ -420,12 +415,12 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=10**6):
             count = n // len(proper[i])
             if prod * count <= n:
                 stack.append((i + 1, chosen + [proper[i]], prod * count))
-    return m, results
+    return m, results, stabilisers
 
 
-def enumerate_cartesian_decompositions(g, omega=0, plinth=None, bound=10**6):
+def enumerate_cartesian_decompositions(g, omega=0, plinth=None, bound=ORDER_BOUND):
     """The complete list of g-invariant Cartesian decompositions, canonical order."""
-    m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth, bound=bound)
+    m, block_tuples, _ = enumerate_cartesian_systems(g, omega=omega, plinth=plinth, bound=bound)
     return sorted(set(_decompositions(g, m, block_tuples)))
 
 
@@ -466,22 +461,22 @@ def round_trip_check(g, omega=0, plinth=None):
     """Both directions of the decomposition/system bijection on g, in one pass.
 
     Each enumerated block tuple gives a decomposition e (the translates of
-    its blocks) and a system K (the setwise stabilisers in M of its
-    blocks). The blocks of e through omega are the tuple's blocks, so K is
-    the system of e by construction, and one check per direction suffices:
+    its blocks) and a system K (the stabilisers in M of its blocks, as the
+    block lattice generates them). One check per direction suffices:
 
     - forward, e -> K -> e: ``to_decomposition(K)`` validates K once and
       must give back e;
-    - backward, K -> e -> K: the block stabilisers of e at omega
-      (``_system_of``) must be the same system as K.
+    - backward, K -> e -> K: the block stabilisers of e at omega, found by
+      the setwise-stabiliser search (``_system_of``), must be the same
+      system as the lattice's K.
 
     Two tuples giving one decomposition show as a count mismatch. The
     report also carries the sorted decompositions.
     """
-    m, block_tuples = enumerate_cartesian_systems(g, omega=omega, plinth=plinth)
+    m, block_tuples, stabilisers = enumerate_cartesian_systems(g, omega=omega, plinth=plinth)
     forward, backward = {}, []
     for chosen, e in zip(block_tuples, _decompositions(g, m, block_tuples)):
-        k = CartesianSystem(m, omega, [setwise_stabiliser(m, b) for b in chosen])
+        k = CartesianSystem(m, omega, [stabilisers[b] for b in chosen])
         forward[e] = to_decomposition(k) == e
         backward.append((k.index, _system_of(m, e, omega).same_system(k)))
     decomps = sorted(forward)

@@ -22,7 +22,8 @@ from .cartesian import (
 )
 from .errors import InvalidInput, PermdecError
 from .factor import is_full_factorisation, is_strong_multiple_factorisation
-from .wreath import WreathSpec, product_action_wreath
+from .structure import ORDER_BOUND
+from .wreath import DEGREE_BUDGET, WreathSpec, product_action_wreath
 
 
 def _emit(data, args):
@@ -45,7 +46,7 @@ def _parse_wreath_spec(text):
 
 def cmd_verify_decomp(args):
     e = CartesianDecomposition.from_json(io.load_json(args.decomp))
-    report = validate_decomposition(e, cap=args.budget or 10**7).to_json()
+    report = validate_decomposition(e).to_json()
     ok = report["valid"]
     if args.group:
         g = _load_group(args.group)
@@ -82,7 +83,7 @@ def cmd_enumerate(args):
     g = _load_group(args.group)
     plinth = _load_group(args.plinth) if args.plinth else None
     decs = enumerate_cartesian_decompositions(
-        g, omega=args.omega, plinth=plinth, bound=args.budget or 10**6
+        g, omega=args.omega, plinth=plinth, bound=args.budget or ORDER_BOUND
     )
     report = {
         "count": len(decs),
@@ -103,7 +104,7 @@ def cmd_enumerate(args):
 
 def cmd_wreath(args):
     spec = _parse_wreath_spec(args.spec)
-    w, e_nat = product_action_wreath(spec, degree_budget=args.budget or 10**5)
+    w, e_nat = product_action_wreath(spec, degree_budget=args.budget or DEGREE_BUDGET)
     report = {
         "group": io.group_to_json(w),
         "degree": w.degree,

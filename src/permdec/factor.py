@@ -2,7 +2,8 @@
 
 All predicates decide by order arithmetic (|A||B| = |G||A intersect B|);
 no product set is enumerated. One routine, ``_eq2``, decides eq. (2) for
-a strong multiple factorisation and for ``cartesian.validate_system``.
+a factorisation pair, a strong multiple factorisation and
+``cartesian.validate_system``.
 Automorphisms are never computed from scratch; equivalence checking takes
 caller-supplied maps and finds the inner adjustment, like every conjugator
 and normaliser here, by one backtrack over the group's stabiliser chain
@@ -45,13 +46,13 @@ def _require_subgroup(g, h, label):
 def is_factorisation(g, a, b):
     """Whether G = AB, by the order identity |A||B| = |G||A intersect B|.
 
-    The product set AB has |A||B|/|A intersect B| elements, all in G.
+    The product set AB has |A||B|/|A intersect B| elements, all in G. The
+    identity is eq. (2) for the pair, so ``_eq2`` decides it.
     """
     _require_subgroup(g, a, "A")
     _require_subgroup(g, b, "B")
-    inter = intersect(a, b)
+    inter, _, (holds, _) = _eq2(g, (a, b))
     orders = (a.order(), b.order(), inter.order(), g.order())
-    holds = orders[0] * orders[1] == orders[3] * orders[2]
     witness = None
     if not holds:
         witness = f"product set has {orders[0] * orders[1] // orders[2]} of {orders[3]} elements"

@@ -40,6 +40,7 @@ from .group import PermGroup, check_points, group_from_generators, on_points, or
 from .perm import Partition, Permutation
 
 DEFAULT_NODE_BUDGET = 10**8
+ORDER_BOUND = 10**6  # the largest group whose elements minimal_normal_subgroups lists
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,7 @@ def normal_closure(g, seeds):
     return closure
 
 
-def minimal_normal_subgroups(g, bound=10**6):
+def minimal_normal_subgroups(g, bound=ORDER_BOUND):
     """All minimal normal subgroups, via closures of prime-order elements."""
     order = g.order()
     if order > bound:
@@ -370,7 +371,7 @@ class InnateReport:
     quasiprimitive: bool
 
 
-def is_innately_transitive(g, bound=10**6):
+def is_innately_transitive(g, bound=ORDER_BOUND):
     """Whether g has a transitive minimal normal subgroup (with candidates)."""
     minimals = minimal_normal_subgroups(g, bound=bound)
     plinths = tuple(n for n in minimals if n.is_transitive())

@@ -1,15 +1,18 @@
 """Wreath products in product action and full stabilisers of decompositions.
 
 Points of the product action on Gamma^l are encoded big-endian mixed
-radix: coordinate 0 is the most significant digit. The natural Cartesian
+radix: coordinate 0 is the most significant digit, and coordinate i of
+point p is (p // strides[i]) % radices[i]. The natural Cartesian
 decomposition has one partition per coordinate, whose blocks are the
-fibres of that coordinate.
+fibres of that coordinate. The wreath product Sym(Gamma) wr S_l in product
+action is the full stabiliser of the natural decomposition; one routine,
+``full_stabiliser``, builds the stabiliser of any decomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import factorial
 
 from .cartesian import CartesianDecomposition, is_invariant, validate_decomposition
 from .errors import (
@@ -61,11 +64,8 @@ def decode(spec, point):
     """Point -> tuple of coordinates."""
     if not 0 <= point < spec.degree:
         raise PointOutOfRange(f"point {point} outside 0..{spec.degree - 1}")
-    coords = []
-    for _ in range(spec.top_count):
-        point, c = divmod(point, spec.base_size)
-        coords.append(c)
-    return tuple(reversed(coords))
+    radices = spec.radices
+    return tuple((point // s) % r for s, r in zip(_strides(radices), radices))
 
 
 def _strides(radices):
@@ -75,23 +75,12 @@ def _strides(radices):
     return out
 
 
-def _decode_mixed(radices, point):
-    coords = []
-    for r in reversed(radices):
-        point, c = divmod(point, r)
-        coords.append(c)
-    return tuple(reversed(coords))
-
-
 def _coord_perm(radices, i, images_on_values):
     """The permutation applying a value map to coordinate i only."""
-    stride = _strides(radices)[i]
-    n = 1
-    for r in radices:
-        n *= r
-    out = [0] * n
-    for p in range(n):
-        v = (p // stride) % radices[i]
+    stride, r = _strides(radices)[i], radices[i]
+    out = [0] * math.prod(radices)
+    for p in range(len(out)):
+        v = (p // stride) % r
         out[p] = p + (images_on_values[v] - v) * stride
     return Permutation(out)
 
@@ -102,66 +91,47 @@ def _top_perm(radices, sigma):
     Only valid when the moved radices agree.
     """
     strides = _strides(radices)
-    n = 1
-    for r in radices:
-        n *= r
-    out = [0] * n
-    for p in range(n):
-        coords = _decode_mixed(radices, p)
-        q = 0
-        moved = [0] * len(radices)
-        for i, c in enumerate(coords):
-            moved[sigma[i]] = c
-        for i, c in enumerate(moved):
-            q += c * strides[i]
-        out[p] = q
+    out = [0] * math.prod(radices)
+    for i, (s, r) in enumerate(zip(strides, radices)):
+        t = strides[sigma[i]]
+        out = [q + (p // s) % r * t for p, q in enumerate(out)]
     return Permutation(out)
 
 
 def natural_decomposition(radices):
     """One partition per coordinate; blocks are the coordinate fibres."""
-    strides = _strides(radices)
-    n = 1
-    for r in radices:
-        n *= r
+    n = math.prod(radices)
     partitions = []
-    for i, r in enumerate(radices):
-        fibres = {v: [] for v in range(r)}
+    for s, r in zip(_strides(radices), radices):
+        fibres = [[] for _ in range(r)]
         for p in range(n):
-            fibres[(p // strides[i]) % r].append(p)
-        partitions.append(Partition(fibres.values(), degree=n))
+            fibres[(p // s) % r].append(p)
+        partitions.append(Partition(fibres, degree=n))
     return CartesianDecomposition(partitions)
 
 
-def _sym_value_gens(size):
-    gens = [list(range(size)) for _ in range(2 if size > 2 else 1)]
-    gens[0][0], gens[0][1] = 1, 0
-    if size > 2:
-        gens[1] = list(range(1, size)) + [0]
-    return gens
+def _sym_gens(size):
+    """Image lists of a transposition and, for size > 2, a size-cycle: Sym(size)."""
+    swap = [1, 0] + list(range(2, size))
+    return [swap, list(range(1, size)) + [0]] if size > 2 else [swap]
 
 
 def product_action_wreath(spec, degree_budget=DEGREE_BUDGET):
     """Sym(Gamma) wr S_l in product action, with its natural decomposition.
 
-    The order, |Gamma|!^l * l!, is known in closed form, so no stabiliser
-    chain is built to check it here; w.order() computes it from generators.
+    W is the full stabiliser of the natural decomposition in Sym(Gamma^l),
+    ``full_stabiliser(e_nat).group``: the natural partitions sort in
+    coordinate order, so the relabelling is the identity and W is generated
+    by Sym(Gamma) on coordinate 0 and S_l on the coordinates. Its order,
+    |Gamma|!^l * l!, is not checked here; w.order() computes it from the
+    generators.
     """
     n = spec.degree
     if n > degree_budget:
         raise BudgetExceeded(f"degree {n} exceeds the budget {degree_budget}")
-    radices = spec.radices
-    gens = [_coord_perm(radices, 0, imgs) for imgs in _sym_value_gens(spec.base_size)]
-    swap = list(range(spec.top_count))
-    swap[0], swap[1] = 1, 0
-    gens.append(_top_perm(radices, swap))
-    if spec.top_count > 2:
-        cycle = [(i + 1) % spec.top_count for i in range(spec.top_count)]
-        gens.append(_top_perm(radices, cycle))
-    w = PermGroup(gens, degree=n, name=f"S{spec.base_size} wr S{spec.top_count}")
-    e_nat = natural_decomposition(radices)
+    e_nat = natural_decomposition(spec.radices)
+    w = full_stabiliser(e_nat).group
     check(w.is_transitive(), "the product action wreath is not transitive")
-    check(is_invariant(w, e_nat).invariant, "the wreath moves its natural decomposition")
     return w, e_nat
 
 
@@ -200,13 +170,10 @@ def full_stabiliser(e, require_homogeneous=True):
 
     # relabelling: natural point with digits (b_1..b_l) -> the unique point
     # lying in block b_i of partition i for every i
-    indexers = [p.block_index_of() for p in e.partitions]
-    strides = _strides(radices)
-    images = [0] * n
-    for point in range(n):
-        natural = sum(indexers[i][point] * strides[i] for i in range(len(radices)))
-        images[natural] = point
-    relabel = Permutation(images)
+    naturals = [0] * n
+    for p, s in zip(e.partitions, _strides(radices)):
+        naturals = [q + k * s for q, k in zip(naturals, p.block_index_of())]
+    relabel = Permutation(naturals).inverse()
 
     # generators per class of equal block count; the top action is
     # transitive on each class so one coordinate of value gens suffices
@@ -219,18 +186,14 @@ def full_stabiliser(e, require_homogeneous=True):
     for c in sorted(classes):
         positions = classes[c]
         size = len(positions)
-        for imgs in _sym_value_gens(c):
+        for imgs in _sym_gens(c):
             gens.append(_coord_perm(radices, positions[0], imgs))
-        if size >= 2:
-            swap = list(range(len(counts)))
-            swap[positions[0]], swap[positions[1]] = positions[1], positions[0]
-            gens.append(_top_perm(radices, swap))
-        if size > 2:
-            cycle = list(range(len(counts)))
-            for k in range(size):
-                cycle[positions[k]] = positions[(k + 1) % size]
-            gens.append(_top_perm(radices, cycle))
-        expected *= factorial(c) ** size * factorial(size)
+        for imgs in _sym_gens(size) if size >= 2 else ():
+            sigma = list(range(len(counts)))
+            for k, j in enumerate(imgs):
+                sigma[positions[k]] = positions[j]
+            gens.append(_top_perm(radices, sigma))
+        expected *= math.factorial(c) ** size * math.factorial(size)
         if size == 1:
             structure_bits.append(f"S{c}")
         else:

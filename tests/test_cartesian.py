@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from permdec import (
-    BudgetExceeded,
     CartesianDecomposition,
     CartesianSystem,
     DegreeMismatch,
@@ -55,10 +54,15 @@ def test_natural_decomposition_valid():
     assert report.valid and report.homogeneous and e.degree == 9
 
 
-def test_validation_budget():
-    e = natural_decomposition((20, 20, 30))  # 12000 block choices
-    with pytest.raises(BudgetExceeded):
-        validate_decomposition(e, cap=10**3)
+def test_validation_needs_no_cap():
+    # 2^30 block choices on 4 points: the four points have distinct index
+    # tuples, so the product scan meets an unused tuple within five steps
+    pairings = [Partition([(0, 1), (2, 3)]), Partition([(0, 2), (1, 3)]),
+                Partition([(0, 3), (1, 2)])]
+    report = validate_decomposition(CartesianDecomposition(pairings * 10))
+    assert not report.valid and len(report.witness) == 30
+    assert not frozenset.intersection(*map(frozenset, report.witness))
+    assert validate_decomposition(natural_decomposition((20, 20, 30))).valid
 
 
 def test_degree_mismatch():
@@ -227,6 +231,27 @@ def test_round_trip_catches_a_wrong_system(monkeypatch):
                         lambda m, e, omega: right(m, _another(decs, e), omega))
     report = round_trip_check(g, plinth=g)
     assert report.forward_ok and not report.backward_ok and not report.ok
+    assert report.decomposition_count == 3
+
+
+def test_round_trip_catches_a_wrong_lattice_stabiliser(monkeypatch):
+    # the lattice hands each proper block of KLEIN_GRID the next one's
+    # stabiliser; the system search disagrees and so does to_decomposition
+    g = load_case("KLEIN_GRID").group
+    right = cartesian.interval_subgroups
+
+    def rotated(m, omega):
+        pairs = right(m, omega)
+        proper = [i for i, (b, _) in enumerate(pairs) if 1 < len(b) < m.degree]
+        assert len(proper) == 3
+        out = list(pairs)
+        for i, j in zip(proper, proper[1:] + proper[:1]):
+            out[i] = (pairs[i][0], pairs[j][1])
+        return out
+
+    monkeypatch.setattr(cartesian, "interval_subgroups", rotated)
+    report = round_trip_check(g, plinth=g)
+    assert not report.forward_ok and not report.backward_ok
     assert report.decomposition_count == 3
 
 

@@ -281,3 +281,12 @@ def test_corpus_matches_golden_output(capsys):
     # recorded from `permdec corpus` before the round trip became one pass
     assert run(["corpus"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "corpus.json").read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["3^2", "2^3", "4^2"])
+def test_wreath_matches_golden_output(capsys, spec):
+    # recorded from `permdec wreath wr:<spec>` while the wreath product had
+    # its own generator construction
+    assert run(["wreath", f"wr:{spec}"]) == 0
+    golden = (GOLDEN / f"wreath_{spec.replace('^', '_')}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
