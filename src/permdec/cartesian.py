@@ -308,10 +308,8 @@ def _system_of(m, e, omega):
     report = validate_decomposition(e)
     if not report.valid:
         raise InvalidDecomposition(f"invalid decomposition: witness {report.witness}")
-    for p in e.partitions:
-        for x in m.generators:
-            if p.apply(x) != p:
-                raise NotInvariant(f"partition {p!r} is moved by a group generator")
+    if not plinth_fixes_partitions(m, e):
+        raise NotInvariant("a partition is moved by a group generator")
     blocks = [p.block_containing(omega) for p in e.partitions]
     return CartesianSystem(m, omega, [setwise_stabiliser(m, b) for b in blocks])
 

@@ -194,10 +194,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, budget=False):
         p.add_argument("--pretty", action="store_true")
         p.add_argument("--out")
-        p.add_argument("--budget", type=int, default=None)
+        if budget:
+            p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("verify-decomp")
     p.add_argument("--decomp", required=True)
@@ -227,12 +228,12 @@ def build_parser():
     p.add_argument("--omega", type=int, default=0)
     p.add_argument("--plinth")
     p.add_argument("--oracle", action="store_true")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("wreath")
     p.add_argument("spec")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_wreath)
 
     p = sub.add_parser("factcheck")
@@ -245,12 +246,12 @@ def build_parser():
     p.add_argument("action", choices=["list", "verify"])
     p.add_argument("name", nargs="?")
     p.add_argument("--data-dir")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_atlas)
 
     p = sub.add_parser("corpus")
     p.add_argument("--data-dir")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_corpus)
 
     return parser

@@ -29,15 +29,21 @@ so the result is built without a pass over its elements.
 Block systems are found by closing the point stabiliser with transversal
 elements, using the lattice correspondence between subgroups above a
 point stabiliser and blocks through the point.
+
+A coset action keys each right coset H z by its canonical element: along
+H's chain, z becomes u_beta * z with beta the level's orbit point that z
+maps lowest, which leaves the element of H z whose base images are least,
+level by level. Cosets are numbered by the breadth-first orbit of these
+keys under the group's generators, and finding one is a dict lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DegreeMismatch, PointOutOfRange, check
+from .errors import BudgetExceeded, DegreeMismatch, NotSubgroup, PointOutOfRange, check
 from .group import PermGroup, check_points, group_from_generators, on_points, orbit
-from .perm import Partition, Permutation
+from .perm import Partition, Permutation, compose
 
 DEFAULT_NODE_BUDGET = 10**8
 ORDER_BOUND = 10**6  # the largest group whose elements minimal_normal_subgroups lists
@@ -458,48 +464,39 @@ def conjugator(g, pairs):
 
 
 class CosetAction:
-    """The right-coset action of a group on the cosets of a subgroup."""
+    """The right-coset action on a subgroup's cosets; reps[i] is coset i's canonical element."""
 
     def __init__(self, group, subgroup):
         if not subgroup.is_subgroup_of(group):
-            raise DegreeMismatch("subgroup does not sit inside the group")
+            raise NotSubgroup("subgroup does not sit inside the group")
         self.group = group
         self.subgroup = subgroup
-        # cosets are numbered in the order the orbit finds them; each edge is one image
-        self.reps = [group.identity]
-        images = {}
+        tree = orbit(self._canon(group.identity.images), group.generators,
+                     lambda z, s: self._canon(compose(z, s.images)))
+        self._index = {z: i for i, z in enumerate(tree)}
+        self.reps = [Permutation._unchecked(z) for z in tree]
+        perms = [self.act(s) for s in group.generators]
+        self.image = PermGroup(perms, degree=len(tree), name=f"coset action of {group.name or 'G'}")
 
-        def coset_of(i, gi):
-            z = self.reps[i] * group.generators[gi]
-            j = self._index_of(z)
-            if j is None:
-                j = len(self.reps)
-                self.reps.append(z)
-            images[i, gi] = j
-            return j
-
-        gen_indices = range(len(group.generators))
-        orbit(0, gen_indices, coset_of)
-        n = len(self.reps)
-        perms = [Permutation([images[i, gi] for i in range(n)]) for gi in gen_indices]
-        self.image = PermGroup(perms, degree=n, name=f"coset action of {group.name or 'G'}")
-
-    def _index_of(self, z):
-        for j, r in enumerate(self.reps):
-            if self.subgroup.contains(z * r.inverse()):
-                return j
-        return None
+    def _canon(self, z):
+        """Images of the canonical element of the coset H z, z given by its images."""
+        for lv in self.subgroup.chain.levels:
+            beta = min(lv.orbit, key=z.__getitem__)
+            z = compose(lv.transversal[beta].images, z)
+        return z
 
     @property
     def degree(self):
         return len(self.reps)
 
     def act(self, p):
-        """The permutation induced on cosets by an element of the group."""
-        images = [self._index_of(r * p) for r in self.reps]
-        if any(v is None for v in images):
-            raise ValueError("element does not act on the coset space")
-        return Permutation(images)
+        """The permutation induced on the cosets by an element of the group."""
+        if p.degree != self.group.degree:
+            raise DegreeMismatch(f"degrees {p.degree} and {self.group.degree} differ")
+        try:
+            return Permutation([self._index[self._canon(compose(r.images, p.images))] for r in self.reps])
+        except KeyError:
+            raise NotSubgroup("element is not in the group") from None
 
     def map_subgroup(self, h, name=None):
         return PermGroup([self.act(x) for x in h.generators], degree=self.degree, name=name)

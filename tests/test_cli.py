@@ -180,6 +180,32 @@ def test_atlas_verify_budget(capsys):
     assert code == 1 and data["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-decomp", "--decomp", "grid"],
+        ["verify-system", "--system", "system"],
+        ["to-system", "--group", "klein", "--decomp", "grid"],
+        ["to-decomp", "--system", "system"],
+        ["factcheck", "--group", "s4", "s3", "c4"],
+    ],
+)
+def test_budget_is_usage_error_where_unread(capsys, files, argv):
+    argv = [files.get(a, a) for a in argv]
+    assert run(argv) in (0, 1)  # runs without the budget
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--budget", "1"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_budget_parsed_where_read():
+    parser = build_parser()
+    for argv in (["enumerate", "--group", "g"], ["wreath", "wr:2^2"], ["atlas", "list"], ["corpus"]):
+        assert parser.parse_args(argv + ["--budget", "5"]).budget == 5
+
+
 def test_atlas_unknown(capsys):
     code, data = invoke(capsys, ["atlas", "verify", "NOPE"])
     assert code == 1 and data["error"] == "UnknownCase"

@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import math
 import pathlib
 import random
@@ -10,7 +11,9 @@ from permdec import (
     BudgetExceeded,
     Coset,
     CosetAction,
+    DegreeMismatch,
     InternalError,
+    NotSubgroup,
     PermdecError,
     PermGroup,
     Permutation,
@@ -26,6 +29,7 @@ from permdec import (
     setwise_stabiliser,
 )
 from permdec import structure
+from permdec.brute import mulclose
 from permdec.cartesian import enumerate_cartesian_systems
 from permdec.errors import check
 from permdec.structure import interval_subgroups, partition_from_block
@@ -346,3 +350,89 @@ def test_coset_action_maps_subgroups(a6):
     assert action.degree == 6
     img = action.map_subgroup(a6)
     assert img.order() == 360
+
+
+def test_coset_action_rejects_non_subgroup():
+    a3 = PermGroup([C(4, [(0, 1, 2)])])
+    with pytest.raises(NotSubgroup):
+        CosetAction(a3, PermGroup([C(4, [(0, 1)])]))
+
+
+def test_coset_action_act_outside_group():
+    a4 = PermGroup([C(4, [(0, 1, 2)]), C(4, [(0, 1), (2, 3)])])
+    for sub in (PermGroup((), degree=4), PermGroup([C(4, [(0, 1), (2, 3)])])):
+        with pytest.raises(NotSubgroup):
+            CosetAction(a4, sub).act(C(4, [(0, 1)]))
+
+
+def test_coset_action_act_degree_mismatch(s4):
+    action = CosetAction(s4, setwise_stabiliser(s4, [0]))
+    for p in (C(3, [(0, 1)]), C(5, [(0, 1)]), C(5, [(3, 4)])):
+        with pytest.raises(DegreeMismatch):
+            action.act(p)
+
+
+def enumerated_coset_action(g, h):
+    """Right cosets of h in g as element sets, numbered breadth first from h
+    under g's generators: {element: coset number}, and the map sending an
+    element of g to the permutation it induces on the cosets."""
+    h_set = mulclose(h.generators) | {g.identity}
+    where = dict.fromkeys(h_set, 0)
+    reps = [g.identity]
+    for rep in reps:  # the loop visits cosets appended during it
+        for s in g.generators:
+            y = rep * s
+            if y not in where:
+                where.update(dict.fromkeys((x * y for x in h_set), len(reps)))
+                reps.append(y)
+    return where, lambda x: [where[r * x] for r in reps]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_coset_action_matches_enumeration(n):
+    rng = random.Random(900 + n)
+    kinds = set()
+    for i in range(40):
+        g = random_small_subgroup(n, rng, bound=720)
+        kind = ("trivial", "whole", "normal", "random")[i % 4]
+        if kind == "trivial":
+            h = PermGroup((), degree=n)
+        elif kind == "whole":
+            h = PermGroup(g.generators, degree=n)
+        elif kind == "normal":
+            h = normal_closure(g, [g.random_element(rng)])
+        else:
+            h = PermGroup([g.random_element(rng) for _ in range(rng.randint(1, 2))], degree=n)
+        action = CosetAction(g, h)
+        where, induced = enumerated_coset_action(g, h)
+        assert [p.images for p in action.image.generators] == [
+            tuple(induced(s)) for s in g.generators
+        ]
+        assert [where[r] for r in action.reps] == list(range(action.degree))
+        x = g.random_element(rng)
+        assert list(action.act(x).images) == induced(x)
+        if 1 < action.degree and not action.is_faithful():
+            kinds.add("non-faithful")
+        kinds.add(kind)
+    assert kinds == {"trivial", "whole", "normal", "random", "non-faithful"}
+
+
+# sha256 over the image tuples of the image generators, recorded before the
+# coset lookup keyed by canonical elements replaced the membership scan
+COSET_IMAGE_DIGESTS = {
+    "A6_36": "e3682b7b908d03b6b9c08db9a62d8fe15da49cd489e2b4cd48f5801c64216152",
+    "M12_144": "99ab533a274661f1bc8f8170b3e7e5154c2199137d61f23f862c02a56dd33ece",
+    "SP62_K1": "f9be771de8623ee61e8ecd1572d87ef4793d83beb7a62b100d0fd2c8faeeaea9",
+}
+
+
+def test_coset_numbering_pinned(a6_36, m12_144, sp62_case):
+    sp62_k1 = CosetAction(sp62_case.group, sp62_case.subgroups["K1"]).image
+    got = {}
+    for name, image in (("A6_36", a6_36), ("M12_144", m12_144), ("SP62_K1", sp62_k1)):
+        digest = hashlib.sha256()
+        for p in image.generators:
+            digest.update(repr(p.images).encode())
+        got[name] = digest.hexdigest()
+    assert (a6_36.degree, m12_144.degree, sp62_k1.degree) == (36, 144, 120)
+    assert got == COSET_IMAGE_DIGESTS
