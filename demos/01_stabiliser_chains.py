@@ -29,7 +29,7 @@ print(f"base: {m12.chain.base}")
 x = C(12, [(0, 1)])
 print(f"(0 1) in M12: {m12.contains(x)}")
 
-# point stabilisers come with Schreier generators already reduced
+# a point stabiliser keeps the lower levels of M12's chain: no new chain is built
 stab = m12.point_stabiliser(0)
 print(f"|M12_0| = {stab.order()}  (index {m12.order() // stab.order()})")
 

@@ -47,7 +47,7 @@ from .factor import (
     is_full_factorisation,
     is_strong_multiple_factorisation,
 )
-from .group import PermGroup, group_from_generators, schreier_sims, trivial_group
+from .group import PermGroup, group_from_generators
 from .perm import Partition, Permutation
 from .structure import (
     Coset,
@@ -116,11 +116,9 @@ __all__ = [
     "plinth_fixes_partitions",
     "product_action_wreath",
     "round_trip_check",
-    "schreier_sims",
     "setwise_stabiliser",
     "to_decomposition",
     "to_system",
-    "trivial_group",
     "validate_decomposition",
     "validate_system",
 ]

@@ -7,9 +7,10 @@ is independence from the clever code paths.
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
+from itertools import combinations, product
 
-from .cartesian import CartesianDecomposition, validate_decomposition
+from .cartesian import CartesianDecomposition
 from .errors import BudgetExceeded
 from .perm import Partition, Permutation
 
@@ -45,11 +46,13 @@ def proper_uniform_partitions(n):
 
 def is_cartesian_set(partitions):
     """Directly check every block choice meets in exactly one point."""
-    try:
-        e = CartesianDecomposition(list(partitions))
-    except Exception:
+    partitions = list(partitions)
+    degrees = {p.degree for p in partitions}
+    # one point per choice makes as many choices as points; this bounds the scan
+    if len(degrees) != 1 or math.prod(p.block_count for p in partitions) not in degrees:
         return False
-    return validate_decomposition(e).valid
+    return all(len(set.intersection(*map(set, choice))) == 1
+               for choice in product(*(p.blocks for p in partitions)))
 
 
 def brute_force_decompositions(g, max_index=None, budget=10**7):

@@ -295,6 +295,12 @@ def plinth_fixes_partitions(m, e):
 
 def to_system(m, e, omega=0):
     """The Cartesian system of block stabilisers at omega."""
+    m.require_transitive()
+    report = validate_decomposition(e)
+    if not report.valid:
+        raise InvalidDecomposition(f"invalid decomposition: witness {report.witness}")
+    if not plinth_fixes_partitions(m, e):
+        raise NotInvariant("a partition is moved by a group generator")
     system = _system_of(m, e, omega)
     sys_report = validate_system(system)
     if not sys_report.valid:
@@ -303,13 +309,7 @@ def to_system(m, e, omega=0):
 
 
 def _system_of(m, e, omega):
-    """to_system without validating the system it returns."""
-    m.require_transitive()
-    report = validate_decomposition(e)
-    if not report.valid:
-        raise InvalidDecomposition(f"invalid decomposition: witness {report.witness}")
-    if not plinth_fixes_partitions(m, e):
-        raise NotInvariant("a partition is moved by a group generator")
+    """The block stabilisers at omega of a valid decomposition that m fixes, unchecked."""
     blocks = [p.block_containing(omega) for p in e.partitions]
     return CartesianSystem(m, omega, [setwise_stabiliser(m, b) for b in blocks])
 

@@ -8,14 +8,23 @@ reproducible for a fixed generator list.
 
 Levels are completed deepest first, each by one sweep that sifts its
 Schreier generators u * s * u_gamma^-1 into the levels below, adds any
-residue there and completes those levels again. One sweep is enough: level
-i's generators and orbit stay fixed during it (residues go deeper), and a
-Schreier generator that sifted to the identity, or whose residue was added,
-lies in the group of the completed levels below, which only grows. Sweeps
-sit on an explicit stack, and sifting works on image tuples.
+residue there and completes again the levels the residue was added to.
+One sweep is enough: level i's generators and orbit stay fixed during it
+(residues go deeper), and a Schreier generator that sifted to the identity,
+or whose residue was added, lies in the group of the completed levels
+below, which only grows. A level the residue missed keeps its generators,
+as does every level below it, so it stays complete. Sweeps sit on an
+explicit stack, and sifting works on image tuples.
+
+A chain grows through ``_Chain.extend``, which re-sweeps only the levels a
+new generator touches. A derived group adopts a complete chain:
+``group_from_generators`` keeps the generators that extend one chain, and a
+point stabiliser keeps levels 1 onward of the chain it was read from.
 """
 
 from __future__ import annotations
+
+import copy
 
 from .errors import DegreeMismatch, NotTransitive, PointOutOfRange
 from .perm import Permutation, compose
@@ -85,7 +94,7 @@ class _Chain:
         for g in generators:
             if not g.is_identity():
                 self._add_gen(g, 0)
-        self._complete()
+        self._complete(range(len(self.levels)))
 
     @property
     def base(self):
@@ -99,14 +108,23 @@ class _Chain:
         return g.first_moved()
 
     def _add_gen(self, g, start):
+        """Append g to levels start..k, k the first whose point g moves; return that range."""
         k = start
         while True:
             if k == len(self.levels):
                 self.levels.append(_Level(self._new_level_point(g)))
             self.levels[k].gens.append(g)
             if g.images[self.levels[k].point] != self.levels[k].point:
-                break
+                return range(start, k + 1)
             k += 1
+
+    def extend(self, g):
+        """Add g unless the group holds it, sweeping again only the levels it touches;
+        whether g was added. Never call it on an adopted chain: its levels are shared."""
+        if self.contains(g):
+            return False
+        self._complete(self._add_gen(g, 0))
+        return True
 
     def _strip_images(self, g, start=0):
         """Sift image tuple g through levels[start:]; returns the residue's images."""
@@ -117,18 +135,18 @@ class _Chain:
             g = compose(g, u_inv.images)
         return g
 
-    def _complete(self):
-        """Run each level's sweep, deepest first; re-run the levels below an addition."""
-        stack = [self._sweep(i) for i in range(len(self.levels))]
+    def _complete(self, touched):
+        """Sweep the touched levels, deepest first; re-sweep the levels an addition touches."""
+        stack = [self._sweep(i) for i in touched]
         while stack:
-            below = next(stack[-1], None)
-            if below is None:
+            added = next(stack[-1], None)
+            if added is None:
                 stack.pop()
             else:
-                stack.extend(self._sweep(k) for k in range(below, len(self.levels)))
+                stack.extend(self._sweep(k) for k in added)
 
     def _sweep(self, i):
-        """Sift level i's Schreier generators; yield i + 1 after adding a residue."""
+        """Sift level i's Schreier generators; yield the levels each residue is added to."""
         level = self.levels[i]
         level.recompute_orbit(self.degree)
         gens = [s.images for s in level.gens]
@@ -141,8 +159,7 @@ class _Chain:
                     continue
                 residue = self._strip_images(sg, i + 1)
                 if residue != identity:
-                    self._add_gen(Permutation._unchecked(residue), i + 1)
-                    yield i + 1
+                    yield self._add_gen(Permutation._unchecked(residue), i + 1)
 
     def order(self):
         out = 1
@@ -241,12 +258,15 @@ class PermGroup:
         return transversal(orbit(point, self.generators, on_points), self.identity)
 
     def point_stabiliser(self, point):
-        """Stabiliser of a point: level 1 of a chain whose base starts there,
-        the cached one if it does (a base hint sets only the first point)."""
+        """Stabiliser of a point: levels 1 onward of a chain whose base starts
+        there, the cached one if it does (a base hint sets only the first point)."""
         check_points(self.degree, (point,))
         chain = self.chain
-        levels = (chain if chain.base[:1] == (point,) else self.chain_with_base((point,))).levels
-        return PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
+        if chain.base[:1] != (point,):
+            chain = self.chain_with_base((point,))
+        stab = copy.copy(chain)  # shares the levels it keeps
+        stab.levels = chain.levels[1:]
+        return _adopting(stab.levels[0].gens if stab.levels else (), stab)
 
     # comparisons --------------------------------------------------------------
 
@@ -273,26 +293,14 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, {label})"
 
 
-def schreier_sims(generators, degree=None, name=None):
-    """Build a PermGroup and force its base-and-strong-generating-set."""
-    group = PermGroup(generators, degree=degree, name=name)
-    group.chain  # construction is eager here; callers may share the result
+def _adopting(generators, chain, name=None):
+    """The group of the generators, taking as its chain a complete one of them."""
+    group = PermGroup(generators, degree=chain.degree, name=name)
+    group._chain = chain
     return group
 
 
 def group_from_generators(gens, degree, name=None):
-    """Group from a redundant generator list, keeping only essential ones."""
-    selected = []
-    group = PermGroup((), degree=degree, name=name)
-    for g in gens:
-        if g.is_identity():
-            continue
-        if group.contains(g):
-            continue
-        selected.append(g)
-        group = PermGroup(tuple(selected), degree=degree, name=name)
-    return group
-
-
-def trivial_group(degree):
-    return PermGroup((), degree=degree)
+    """Group from a redundant generator list, keeping those that enlarge it."""
+    chain = _Chain(degree, ())
+    return _adopting([g for g in gens if chain.extend(g)], chain, name)

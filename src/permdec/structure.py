@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegreeMismatch, NotSubgroup, PointOutOfRange, check
-from .group import PermGroup, check_points, group_from_generators, on_points, orbit
+from .group import PermGroup, _adopting, _Chain, check_points, group_from_generators, on_points, orbit
 from .perm import Partition, Permutation, compose
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -62,6 +62,11 @@ class Coset:
         return self.subgroup.same_group(other.subgroup) and self.subgroup.contains(
             self.representative * other.representative.inverse()
         )
+
+    def __hash__(self):
+        # every z in the coset maps each orbit O of the subgroup to one set O^z
+        z, h = self.representative.images, self.subgroup
+        return hash(frozenset(frozenset(z[p] for p in h.orbit(q)) for q in range(h.degree)))
 
     def contains(self, p):
         return self.subgroup.contains(p * self.representative.inverse())
@@ -121,17 +126,18 @@ class _Backtrack:
     refine(state, point, image) is the state after requiring that the
     element maps base point `point` to `image`, or None when no element with
     the property does; leaf(g) decides g once all its base images are fixed.
-    Each candidate image tried counts one node against the budget.
+    Each candidate image tried counts one node against DEFAULT_NODE_BUDGET,
+    read when the search is made.
     """
 
     __slots__ = ("chain", "refine", "leaf", "what", "budget", "nodes")
 
-    def __init__(self, chain, refine, leaf, what, node_budget):
+    def __init__(self, chain, refine, leaf, what):
         self.chain = chain
         self.refine = refine
         self.leaf = leaf
         self.what = what
-        self.budget = node_budget
+        self.budget = DEFAULT_NODE_BUDGET
         self.nodes = 0
 
     def _tick(self):
@@ -202,7 +208,7 @@ class _Backtrack:
 # --- intersection -----------------------------------------------------------
 
 
-def intersect(a, b, node_budget=DEFAULT_NODE_BUDGET):
+def intersect(a, b):
     """The intersection a ∩ b by backtrack over the smaller group's chain."""
     if a.degree != b.degree:
         raise DegreeMismatch(f"degrees {a.degree} and {b.degree} differ")
@@ -213,14 +219,14 @@ def intersect(a, b, node_budget=DEFAULT_NODE_BUDGET):
     if b.order() < a.order():
         a, b = b, a
     chain_b = b.chain_with_base(a.chain.base)
-    search = _Backtrack(a.chain, _Walker.constrain, chain_b.contains, "intersection", node_budget)
+    search = _Backtrack(a.chain, _Walker.constrain, chain_b.contains, "intersection")
     return search.subgroup(_Walker(chain_b))
 
 
 # --- setwise stabiliser -----------------------------------------------------
 
 
-def setwise_stabiliser(g, block, node_budget=DEFAULT_NODE_BUDGET):
+def setwise_stabiliser(g, block):
     """{x in g : block^x = block}."""
     block = frozenset(block)
     if not block:
@@ -232,29 +238,23 @@ def setwise_stabiliser(g, block, node_budget=DEFAULT_NODE_BUDGET):
     def keeps_block(state, point, image):
         return state if (image in block) == (point in block) else None
 
-    search = _Backtrack(
-        g.chain, keeps_block, lambda x: x.act_on_set(block) == block, "setwise stabiliser", node_budget
-    )
+    search = _Backtrack(g.chain, keeps_block, lambda x: x.act_on_set(block) == block,
+                        "setwise stabiliser")
     return search.subgroup(True)
 
 
 # --- coset intersection -----------------------------------------------------
 
 
-def _find_in_coset(s_group, k_group, v, node_budget):
+def _find_in_coset(s_group, k_group, v):
     """Some s in s_group with s*v in k_group, or None."""
     chain_k = k_group.chain_with_base(s_group.chain.base)
-    search = _Backtrack(
-        s_group.chain,
-        lambda walker, q, c: walker.constrain(q, v.images[c]),
-        lambda s: chain_k.contains(s * v),
-        "coset",
-        node_budget,
-    )
+    search = _Backtrack(s_group.chain, lambda walker, q, c: walker.constrain(q, v.images[c]),
+                        lambda s: chain_k.contains(s * v), "coset")
     return search.first_hit(0, s_group.identity, _Walker(chain_k))
 
 
-def coset_intersection(terms, node_budget=DEFAULT_NODE_BUDGET):
+def coset_intersection(terms):
     """Intersection of right cosets K_i x_i; a Coset of ∩K_i, or None if empty."""
     terms = list(terms)
     if not terms:
@@ -265,11 +265,11 @@ def coset_intersection(terms, node_budget=DEFAULT_NODE_BUDGET):
             raise DegreeMismatch("cosets act on different point sets")
     subgroup, rep = terms[0]
     for k, x in terms[1:]:
-        z = _find_in_coset(subgroup, k, rep * x.inverse(), node_budget)
+        z = _find_in_coset(subgroup, k, rep * x.inverse())
         if z is None:
             return None
         rep = z * rep
-        subgroup = intersect(subgroup, k, node_budget)
+        subgroup = intersect(subgroup, k)
     return Coset(subgroup, rep)
 
 
@@ -329,21 +329,11 @@ def block_systems(g, omega=0):
 
 def normal_closure(g, seeds):
     """Smallest normal subgroup of g containing the seed permutations."""
-    gens = [s for s in seeds if not s.is_identity()]
-    closure = group_from_generators(gens, g.degree)
-    frontier = list(closure.generators)
-    gens = list(closure.generators)
-    while frontier:
-        new = []
-        for x in frontier:
-            for s in g.generators:
-                c = x.conjugate_by(s)
-                if not closure.contains(c):
-                    gens.append(c)
-                    closure = PermGroup(tuple(gens), degree=g.degree)
-                    new.append(c)
-        frontier = new
-    return closure
+    chain = _Chain(g.degree, ())
+    gens = [x for x in seeds if chain.extend(x)]
+    for x in gens:  # the loop visits the conjugates kept during it
+        gens += [c for c in (x.conjugate_by(s) for s in g.generators) if chain.extend(c)]
+    return _adopting(gens, chain)
 
 
 def minimal_normal_subgroups(g, bound=ORDER_BOUND):
@@ -441,12 +431,12 @@ def _conjugacy(pairs):
     return refine, leaf, {}
 
 
-def normaliser_in(g, h, node_budget=DEFAULT_NODE_BUDGET):
+def normaliser_in(g, h):
     """N_g(h) = {x in g : h^x = h}, by backtrack over g's chain."""
     if g.degree != h.degree:
         raise DegreeMismatch(f"degrees {g.degree} and {h.degree} differ")
     refine, leaf, root = _conjugacy([(h, h)])
-    return _Backtrack(g.chain, refine, leaf, "normaliser", node_budget).subgroup(root)
+    return _Backtrack(g.chain, refine, leaf, "normaliser").subgroup(root)
 
 
 def conjugator(g, pairs):
@@ -456,7 +446,7 @@ def conjugator(g, pairs):
     if any(h.order() != k.order() for h, k in pairs):
         return None
     refine, leaf, root = _conjugacy(pairs)
-    search = _Backtrack(g.chain, refine, leaf, "conjugator", DEFAULT_NODE_BUDGET)
+    search = _Backtrack(g.chain, refine, leaf, "conjugator")
     return search.first_hit(0, g.identity, root)
 
 

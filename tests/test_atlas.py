@@ -77,10 +77,13 @@ def test_verify_desk_cases_list_no_elements(monkeypatch):
 
 def test_a6_verify_walks_its_one_system_once(monkeypatch):
     # the round trip enumerates once and validates each system once; the
-    # atlas reads the decompositions from it and validates its own K once
+    # atlas reads the decompositions from it and validates its own K once.
+    # The decomposition is validated by the enumeration, by to_decomposition
+    # and by full_stabiliser, and not again when its system is built
     calls = Counter()
     for name, owner in (("enumerate_cartesian_systems", cartesian),
                         ("validate_system", cartesian),
+                        ("validate_decomposition", cartesian),
                         ("setwise_stabiliser", structure)):
         original = getattr(owner, name)
 
@@ -94,7 +97,7 @@ def test_a6_verify_walks_its_one_system_once(monkeypatch):
                     monkeypatch.setattr(module, key, counted)
     assert verify_case("A6_36")["ok"]
     assert calls == {"enumerate_cartesian_systems": 1, "validate_system": 2,
-                     "setwise_stabiliser": 4}
+                     "validate_decomposition": 3, "setwise_stabiliser": 4}
 
 
 @pytest.mark.parametrize("name", sorted(METADATA_ONLY))

@@ -1,5 +1,8 @@
+import math
 import random
+import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +29,7 @@ from permdec import (
 )
 from permdec import cartesian
 from permdec.atlas import load_case
-from permdec.brute import brute_force_decompositions, product_set
+from permdec.brute import brute_force_decompositions, is_cartesian_set, product_set
 from permdec.wreath import natural_decomposition, product_action_wreath, WreathSpec
 
 C = Permutation.from_cycles
@@ -319,6 +322,63 @@ def test_enumerate_matches_oracle_s3s3(s3s3):
     got = enumerate_cartesian_decompositions(s3s3, plinth=plinth)
     want = brute_force_decompositions(s3s3)
     assert got == want and len(got) == 2
+
+
+def _random_partition_list(rng):
+    """A list of partitions at degree <= 12: a grid, a grid with two points
+    swapped in one partition, or partitions with random blocks."""
+    n = rng.randint(1, 12)
+    kind = rng.randrange(3)
+    if kind == 2:
+        out = []
+        for _ in range(rng.randint(1, 3)):
+            labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+            out.append(Partition([[p for p in range(n) if labels[p] == b] for b in set(labels)],
+                                 degree=n))
+        return out
+    sides = []
+    rest = n
+    while rest > 1:
+        side = rng.choice([d for d in range(2, rest + 1) if rest % d == 0])
+        sides.append(side)
+        rest //= side
+    sides = sides or [1]
+    points = list(range(n))
+    rng.shuffle(points)
+    coords = []  # coords[i][p]: the block of partition i holding point p
+    for i in range(len(sides)):
+        stride = math.prod(sides[i + 1:])
+        coords.append({p: (k // stride) % sides[i] for k, p in enumerate(points)})
+    if kind == 1 and n > 1:
+        row = rng.choice(coords)
+        p, q = rng.sample(range(n), 2)
+        row[p], row[q] = row[q], row[p]
+    return [Partition([[p for p in range(n) if row[p] == b] for b in set(row.values())],
+                      degree=n) for row in coords]
+
+
+def test_cartesian_oracle_matches_validation():
+    # the oracle intersects blocks; validation compares block-index tuples
+    rng = random.Random(1201)
+    verdicts = []
+    for _ in range(300):
+        partitions = _random_partition_list(rng)
+        want = validate_decomposition(CartesianDecomposition(partitions)).valid
+        assert is_cartesian_set(partitions) == want, [p.blocks for p in partitions]
+        verdicts.append(want)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def test_cartesian_oracle_does_not_use_validation(monkeypatch):
+    # two equal partitions: the choice (B, B) meets in both points of B
+    original = cartesian.validate_decomposition
+    for module in [m for key, m in sys.modules.items() if key.startswith("permdec")]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, lambda e: SimpleNamespace(valid=True))
+    rows = Partition([(0, 1), (2, 3)])
+    assert not is_cartesian_set([rows, rows])
+    assert is_cartesian_set(GRID.partitions)
 
 
 # --- lattice laws on validated systems ---------------------------------------------------

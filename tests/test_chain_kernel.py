@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdec import DegreeMismatch, PermGroup, Permutation
+from permdec import DegreeMismatch, PermGroup, Permutation, group_from_generators, normal_closure
+from permdec import group as group_module
 from permdec.brute import mulclose
 
 C = Permutation.from_cycles
@@ -158,6 +159,106 @@ def test_chain_matches_closure(gens_n, seed):
         assert group.contains(x) == (x in closure)
     for g in closure:
         assert group.contains(g)
+
+
+# --- one chain per derived group ------------------------------------------------
+
+
+def _kept_by_membership(candidates, degree, conjugating=()):
+    """Keep each candidate outside the group of those kept before it; each
+    kept one queues its conjugates by the conjugating permutations."""
+    kept = []
+    queue = list(candidates)
+    for x in queue:
+        if not PermGroup(kept, degree=degree).contains(x):
+            kept.append(x)
+            queue += [x.conjugate_by(s) for s in conjugating]
+    return kept
+
+
+def _normal_closure_elements(g, seed):
+    """The normal closure of seed in g as an element set, from closures alone."""
+    gens = [seed]
+    elements = mulclose(gens)
+    while True:
+        outside = [c for x in gens for s in g.generators
+                   if (c := x.conjugate_by(s)) not in elements]
+        if not outside:
+            return elements
+        gens.append(outside[0])
+        elements = mulclose(gens)
+
+
+def _random_perm(n, rng):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.integers(min_value=0, max_value=2**32))
+def test_grown_chains_match_closure(gens_n, seed):
+    n, gens = gens_n
+    rng = random.Random(seed)
+    group = PermGroup(gens, degree=n)
+    closure = mulclose(gens)
+    pool = [group.random_element(rng) for _ in range(3)] + [Permutation.identity(n)] + gens
+    rng.shuffle(pool)
+    grown = group_from_generators(pool, n)
+    assert list(grown.generators) == _kept_by_membership(pool, n)
+    assert grown.order() == len(closure)
+    seed_element = group.random_element(rng)
+    closed = normal_closure(group, [seed_element])
+    want = _normal_closure_elements(group, seed_element)
+    assert list(closed.generators) == _kept_by_membership([seed_element], n, gens)
+    assert closed.order() == len(want)
+    for _ in range(20):
+        x = _random_perm(n, rng)
+        assert grown.contains(x) == (x in closure)
+        assert closed.contains(x) == (x in want)
+    for x in rng.sample(sorted(want, key=lambda p: p.images), min(len(want), 10)):
+        assert closed.contains(x)
+
+
+def _count_completions(monkeypatch):
+    calls = []
+    original = group_module._Chain._complete
+
+    def counted(chain, touched):
+        calls.append(touched)
+        return original(chain, touched)
+
+    monkeypatch.setattr(group_module._Chain, "_complete", counted)
+    return calls
+
+
+def test_point_stabiliser_adopts_the_chain_it_reads(monkeypatch):
+    m12 = _m12()
+    first = m12.base[0]
+    m12.order()
+    calls = _count_completions(monkeypatch)
+    stab = m12.point_stabiliser(first)
+    assert stab.order() == 7920
+    assert stab.contains(stab.generators[0] * stab.generators[-1])
+    assert not stab.contains(m12.generators[0])
+    assert calls == []
+    assert all(a is b for a, b in zip(stab.chain.levels, m12.chain.levels[1:], strict=True))
+    # another point needs one chain with that base, and no more
+    other = m12.point_stabiliser(first + 1)
+    assert other.order() == 7920 and other.contains(other.generators[0])
+    assert len(calls) == 1
+
+
+def test_derived_groups_leave_the_parent_chain_unchanged():
+    m12 = _m12()
+    before = _fingerprint(m12.chain)
+    stab = m12.point_stabiliser(m12.base[0])
+    stab.order()
+    stab.point_stabiliser(stab.base[0]).order()
+    normal_closure(stab, [stab.generators[0]]).order()
+    normal_closure(m12, [m12.generators[1]]).order()
+    group_from_generators(list(stab.generators) + list(m12.generators), 12).order()
+    assert _fingerprint(m12.chain) == before
 
 
 # --- small degrees --------------------------------------------------------------

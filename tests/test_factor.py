@@ -19,7 +19,6 @@ from permdec import (
     is_full_factorisation,
     is_strong_multiple_factorisation,
     normaliser_in,
-    trivial_group,
 )
 from permdec import atlas, cartesian, factor, structure
 from permdec.brute import product_set
@@ -145,7 +144,7 @@ def test_eq2_intersections_match_enumeration(n):
     # be the intersection of the members' element sets
     rng = random.Random(600 + n)
     t = PermGroup([C(n, [tuple(range(n))]), C(n, [(0, 1)])])
-    pool = [trivial_group(n), t] + [_small_subgroup(n, rng) for _ in range(6)]
+    pool = [PermGroup((), degree=n), t] + [_small_subgroup(n, rng) for _ in range(6)]
     sets = {id(k): k.element_set() for k in pool}
     t_set = sets[id(t)]
     for _ in range(30):
@@ -277,15 +276,17 @@ def test_conjugation_orbit_sizes_by_enumeration(a6_case, s4):
 
 
 def test_conjugation_trivial_b(s4):
-    assert conjugation_transitivity_check(s4, s4, trivial_group(4))
+    assert conjugation_transitivity_check(s4, s4, PermGroup((), degree=4))
 
 
-def test_conjugation_budget(m12_case):
+def test_conjugation_budget(m12_case, monkeypatch):
     # N_T(B) takes 79 nodes; the conjugation check's normalisers have no order cap
     t, b = m12_case.group, m12_case.subgroups["B"]
+    monkeypatch.setattr(structure, "DEFAULT_NODE_BUDGET", 50)
     with pytest.raises(BudgetExceeded, match="normaliser search exceeded 50 nodes"):
-        normaliser_in(t, b, node_budget=50)
-    assert normaliser_in(t, b, node_budget=79).order() == 7920
+        normaliser_in(t, b)
+    monkeypatch.setattr(structure, "DEFAULT_NODE_BUDGET", 79)
+    assert normaliser_in(t, b).order() == 7920
 
 
 # --- automorphisms and equivalence -------------------------------------------------

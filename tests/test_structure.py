@@ -92,12 +92,29 @@ def test_coset_equality():
     assert Coset(k, x) != Coset(k, C(4, [(1, 2)]))
 
 
-def test_intersection_budget():
+def test_equal_cosets_hash_equal():
+    h = PermGroup([C(3, [(0, 1)])])
+    e, t = Permutation.identity(3), C(3, [(0, 1)])
+    assert Coset(h, e) == Coset(h, t)
+    assert len({Coset(h, e), Coset(h, t)}) == 1
+    # the same subgroup from other generators, and other representatives
+    s5 = PermGroup([C(5, [(0, 1, 2, 3, 4)]), C(5, [(0, 1)])])
+    rng = random.Random(905)
+    for _ in range(40):
+        k = random_subgroup(s5, rng)
+        again = PermGroup(list(k.generators) + [k.random_element(rng)], degree=5)
+        z = s5.random_element(rng)
+        assert Coset(k, z) == Coset(again, k.random_element(rng) * z)
+        assert hash(Coset(k, z)) == hash(Coset(again, k.random_element(rng) * z))
+
+
+def test_intersection_budget(monkeypatch):
     # neither group contains the other, so the backtrack search must run
     a = PermGroup([C(6, [(0, 1, 2, 3, 4, 5)])])
     b = PermGroup([C(6, [(0, 1)]), C(6, [(2, 3, 4, 5)])])
+    monkeypatch.setattr(structure, "DEFAULT_NODE_BUDGET", 2)
     with pytest.raises(BudgetExceeded):
-        intersect(a, b, node_budget=2)
+        intersect(a, b)
 
 
 def test_backtrack_searches_leave_no_cyclic_garbage():
@@ -197,21 +214,23 @@ def test_intersection_with_several_hits_per_level():
 
 
 @pytest.mark.parametrize("k", [8, 10])
-def test_intersection_prunes_by_found_subgroup(k):
+def test_intersection_prunes_by_found_subgroup(k, monkeypatch):
     # Sym{0..k} ∩ Sym{1..k+1} = Sym{1..k}; listing its k! elements would
     # need far more than 1000 nodes
     n = k + 2
     a = PermGroup([C(n, [tuple(range(k + 1))]), C(n, [(0, 1)])])
     b = PermGroup([C(n, [tuple(range(1, k + 2))]), C(n, [(1, 2)])])
-    assert intersect(a, b, node_budget=1000).order() == math.factorial(k)
+    monkeypatch.setattr(structure, "DEFAULT_NODE_BUDGET", 1000)
+    assert intersect(a, b).order() == math.factorial(k)
 
 
-def test_normaliser_prunes_by_orbits():
+def test_normaliser_prunes_by_orbits(monkeypatch):
     # N_S10(<(0 1 2)>) = Sym{0,1,2} x Sym{3..9}; with no orbit pruning the
     # search tries about 700,000 images
     s10 = PermGroup([C(10, [tuple(range(10))]), C(10, [(0, 1)])])
     h = PermGroup([C(10, [(0, 1, 2)])])
-    assert normaliser_in(s10, h, node_budget=1000).order() == 6 * math.factorial(7)
+    monkeypatch.setattr(structure, "DEFAULT_NODE_BUDGET", 1000)
+    assert normaliser_in(s10, h).order() == 6 * math.factorial(7)
 
 
 def test_structure_has_no_bare_asserts():
