@@ -14,7 +14,10 @@ One sweep is enough: level i's generators and orbit stay fixed during it
 or whose residue was added, lies in the group of the completed levels
 below, which only grows. A level the residue missed keeps its generators,
 as does every level below it, so it stays complete. Sweeps sit on an
-explicit stack, and sifting works on image tuples.
+explicit stack, and sifting works on image tuples. A sift or Schreier
+generator skips each level whose base point it already fixes, as the
+transversal element there is the identity; inverse transversal elements are
+built along the Schreier tree from the inverses of the tree's generators.
 
 A chain grows through ``_Chain.extend``, which re-sweeps only the levels a
 new generator touches. A derived group adopts a complete chain:
@@ -80,7 +83,11 @@ class _Level:
         tree = orbit(self.point, self.gens, on_points)
         self.orbit = list(tree)
         self.transversal = transversal(tree, Permutation.identity(degree))
-        self.inv = {x: u.inverse() for x, u in self.transversal.items()}
+        edges = {id(edge[1]): edge[1] for edge in tree.values() if edge}  # the tree's generators
+        s_inv = {key: s.inverse() for key, s in edges.items()}
+        self.inv = inv = {}
+        for x, edge in tree.items():  # u_x = u_parent * s, so u_x^-1 = s^-1 * u_parent^-1
+            inv[x] = self.transversal[x] if edge is None else s_inv[id(edge[1])] * inv[edge[0]]
 
 
 class _Chain:
@@ -129,10 +136,12 @@ class _Chain:
     def _strip_images(self, g, start=0):
         """Sift image tuple g through levels[start:]; returns the residue's images."""
         for level in self.levels[start:]:
-            u_inv = level.inv.get(g[level.point])
-            if u_inv is None:
-                return g
-            g = compose(g, u_inv.images)
+            beta = g[level.point]
+            if beta != level.point:  # else u_beta is the identity
+                u_inv = level.inv.get(beta)
+                if u_inv is None:
+                    return g
+                g = compose(g, u_inv.images)
         return g
 
     def _complete(self, touched):
@@ -151,10 +160,13 @@ class _Chain:
         level.recompute_orbit(self.degree)
         gens = [s.images for s in level.gens]
         identity = self._identity
+        point = level.point
         for beta in level.orbit:
             u = level.transversal[beta].images
-            for s in gens:
-                sg = compose(compose(u, s), level.inv[s[beta]].images)
+            for s in gens:  # u_point is the identity
+                sg = s if beta == point else compose(u, s)
+                if s[beta] != point:
+                    sg = compose(sg, level.inv[s[beta]].images)
                 if sg == identity:
                     continue
                 residue = self._strip_images(sg, i + 1)
@@ -173,17 +185,18 @@ class _Chain:
         return self._strip_images(g.images) == self._identity
 
     def elements(self):
-        """All group elements, deterministic order; one product per element."""
+        """All group elements, deterministic order; at most one product per element."""
         out = [Permutation.identity(self.degree)]
         for level in reversed(self.levels):
-            transversal = [level.transversal[beta] for beta in level.orbit]
-            out = [e * u for e in out for u in transversal]
+            rest = [level.transversal[beta] for beta in level.orbit[1:]]
+            out = [f for e in out for f in (e, *(e * u for u in rest))]
         return out
 
     def random_element(self, rng):
         g = Permutation.identity(self.degree)
         for level in reversed(self.levels):
-            g = g * level.transversal[rng.choice(level.orbit)]
+            beta = rng.choice(level.orbit)
+            g = g if beta == level.point else g * level.transversal[beta]
         return g
 
 

@@ -64,9 +64,9 @@ class Coset:
         )
 
     def __hash__(self):
-        # every z in the coset maps each orbit O of the subgroup to one set O^z
-        z, h = self.representative.images, self.subgroup
-        return hash(frozenset(frozenset(z[p] for p in h.orbit(q)) for q in range(h.degree)))
+        # each z in the coset maps each orbit O of the subgroup onto one set O^z
+        ids = _orbit_ids(self.subgroup)
+        return hash(frozenset((ids[p], x) for p, x in enumerate(self.representative.images)))
 
     def contains(self, p):
         return self.subgroup.contains(p * self.representative.inverse())
@@ -113,7 +113,8 @@ class _Walker:
             check(lv.point == q, "chain base out of step with constraints")
             if target not in lv.transversal:
                 return None
-            return _Walker(self.chain, self.level + 1, self.w_inv * lv.inv[target])
+            w_inv = self.w_inv if target == q else self.w_inv * lv.inv[target]
+            return _Walker(self.chain, self.level + 1, w_inv)
         return self if target == q else None
 
 
@@ -166,7 +167,7 @@ class _Backtrack:
             else:
                 stack.pop()
                 continue
-            g = lv.transversal[beta] * partial
+            g = partial if beta == lv.point else lv.transversal[beta] * partial
             if level + 1 < len(levels):
                 stack.append((level + 1, g, child, iter(levels[level + 1].orbit)))
             elif self.leaf(g):
@@ -472,7 +473,8 @@ class CosetAction:
         """Images of the canonical element of the coset H z, z given by its images."""
         for lv in self.subgroup.chain.levels:
             beta = min(lv.orbit, key=z.__getitem__)
-            z = compose(lv.transversal[beta].images, z)
+            if beta != lv.point:
+                z = compose(lv.transversal[beta].images, z)
         return z
 
     @property

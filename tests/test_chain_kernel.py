@@ -109,6 +109,20 @@ def test_chain_is_pinned(name, make, base, orbits, digest):
     assert _fingerprint(make().chain) == (base, orbits, digest)
 
 
+def _assert_inverse_transversals(chain):
+    for lv in chain.levels:
+        assert lv.transversal[lv.point].is_identity()
+        assert set(lv.inv) == set(lv.transversal) == set(lv.orbit)
+        for x in lv.orbit:
+            assert lv.inv[x] == lv.transversal[x].inverse()
+
+
+@pytest.mark.parametrize("make", [p[1] for p in PINNED], ids=[p[0] for p in PINNED])
+def test_pinned_chains_hold_inverse_transversals(make):
+    # _fingerprint does not read inv, which is built from generator inverses
+    _assert_inverse_transversals(make().chain)
+
+
 # --- deep chains ------------------------------------------------------------
 
 
@@ -133,6 +147,37 @@ def test_chain_depth_does_not_grow_the_call_stack():
     assert group.base == tuple(range(0, 96, 2))
 
 
+def _count_products(monkeypatch):
+    calls = [0]
+    original = group_module.compose
+
+    def counted(a, b):
+        calls[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(group_module, "compose", counted)
+    return calls
+
+
+def test_pair_swap_chains_grow_quadratically(monkeypatch):
+    # a sift skips each level whose point is fixed, so 2^k takes O(k^2)
+    # products to build (4x from k = 32 to 64); with identity steps it is O(k^3)
+    calls = _count_products(monkeypatch)
+    built = {}
+    for k in (32, 64):
+        before = calls[0]
+        group = _pair_swaps(k)
+        assert group.order() == 2**k
+        built[k] = calls[0] - before
+    assert built[64] <= 4.5 * built[32]
+    # sifting a member makes one product per pair it swaps
+    swapped = random.Random(64).sample(range(64), 20)
+    member = C(128, [(2 * i, 2 * i + 1) for i in swapped])
+    before = calls[0]
+    assert group.contains(member)
+    assert calls[0] - before <= len(swapped)
+
+
 # --- brute-force oracle -------------------------------------------------------
 
 
@@ -151,6 +196,7 @@ def test_chain_matches_closure(gens_n, seed):
     closure = mulclose(gens)
     assert group.order() == len(closure)
     assert group.element_set() == closure
+    _assert_inverse_transversals(group.chain)
     rng = random.Random(seed)
     for _ in range(20):
         images = list(range(n))

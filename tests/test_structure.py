@@ -28,6 +28,7 @@ from permdec import (
     normaliser_in,
     setwise_stabiliser,
 )
+from permdec import group as group_module
 from permdec import structure
 from permdec.brute import mulclose
 from permdec.cartesian import enumerate_cartesian_systems
@@ -106,6 +107,29 @@ def test_equal_cosets_hash_equal():
         z = s5.random_element(rng)
         assert Coset(k, z) == Coset(again, k.random_element(rng) * z)
         assert hash(Coset(k, z)) == hash(Coset(again, k.random_element(rng) * z))
+
+
+def test_coset_hash_walks_each_orbit_once(monkeypatch):
+    # Sym{0,1,2} x Sym{3,4} on six points, from two unrelated generating sets
+    h = PermGroup([C(6, [(0, 1, 2)]), C(6, [(0, 1)]), C(6, [(3, 4)])])
+    k = PermGroup([C(6, [(0, 1), (3, 4)]), C(6, [(1, 2)])])
+    assert h.same_group(k) and h.order() == 12
+    z = C(6, [(0, 5, 3), (1, 4)])
+    for x in h.elements():
+        assert Coset(h, z) == Coset(k, x * z)
+        assert len({Coset(h, z), Coset(k, x * z)}) == 1
+    walks = []
+
+    def recording(original):
+        def walk(start, gens, act):
+            walks.append(start)
+            return original(start, gens, act)
+        return walk
+
+    for module in (structure, group_module):
+        monkeypatch.setattr(module, "orbit", recording(module.orbit))
+    hash(Coset(k, z))
+    assert sorted(walks) == [0, 3, 5]
 
 
 def test_intersection_budget(monkeypatch):
