@@ -8,7 +8,6 @@ metadata only and flagged as such.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 
@@ -56,24 +55,15 @@ def _case_path(name, data_dir):
 def list_cases(data_dir=None):
     """All bundled cases as (name, citation, desk_scale), sorted by name."""
     base = pathlib.Path(data_dir) if data_dir else DEFAULT_DATA_DIR
-    out = []
-    for path in sorted((base / "cases").glob("*.json")):
-        data = json.loads(path.read_text())
-        out.append((data["name"], data["citation"], data["desk_scale"]))
-    return out
+    return [tuple(io.fields(io.load_json(path), "name", "citation", "desk_scale"))
+            for path in sorted((base / "cases").glob("*.json"))]
 
 
 def load_case(name, data_dir=None):
     """Load a bundled case, recomputing and checking every recorded order."""
-    data = json.loads(_case_path(name, data_dir).read_text())
-    record = CaseRecord(
-        name=data["name"],
-        desk_scale=data["desk_scale"],
-        citation=data["citation"],
-        expected=data["expected"],
-        construction=data.get("construction"),
-        note=data.get("note"),
-    )
+    data = io.load_json(_case_path(name, data_dir))
+    record = CaseRecord(*io.fields(data, "name", "desk_scale", "citation", "expected"),
+                        construction=data.get("construction"), note=data.get("note"))
     if not record.desk_scale:
         return record
 

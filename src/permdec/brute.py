@@ -55,7 +55,7 @@ def is_cartesian_set(partitions):
                for choice in product(*(p.blocks for p in partitions)))
 
 
-def brute_force_decompositions(g, max_index=None, budget=10**7):
+def brute_force_decompositions(g, budget=10**7):
     """All nontrivial g-invariant Cartesian decompositions, by exhaustion.
 
     Scans every subset of the proper uniform partitions whose block
@@ -83,8 +83,6 @@ def brute_force_decompositions(g, max_index=None, budget=10**7):
             ):
                 results.append(CartesianDecomposition(chosen))
         if prod >= n:
-            return
-        if max_index is not None and len(chosen) >= max_index:
             return
         for i in range(start, len(candidates)):
             p = candidates[i]

@@ -12,7 +12,7 @@ stabiliser of the block containing w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     check,
 )
 from .factor import _eq2
-from .group import PermGroup
+from .group import PermGroup, check_points
 from .perm import Partition
 from .structure import (
     ORDER_BOUND,
@@ -76,13 +76,6 @@ class CartesianDecomposition:
     def __repr__(self):
         return f"CartesianDecomposition(index={self.index}, degree={self.degree})"
 
-    def to_json(self):
-        return [p.to_json() for p in self.partitions]
-
-    @staticmethod
-    def from_json(data):
-        return CartesianDecomposition([Partition(blocks) for blocks in data])
-
 
 @dataclass(frozen=True)
 class DecompositionReport:
@@ -92,16 +85,6 @@ class DecompositionReport:
     block_counts: tuple
     block_sizes: tuple
     witness: tuple | None = None
-
-    def to_json(self):
-        return {
-            "valid": self.valid,
-            "index": self.index,
-            "homogeneous": self.homogeneous,
-            "block_counts": list(self.block_counts),
-            "block_sizes": [list(b) for b in self.block_sizes],
-            "witness": None if self.witness is None else [list(b) for b in self.witness],
-        }
 
 
 def validate_decomposition(e):
@@ -146,13 +129,6 @@ class InvarianceReport:
     generator_actions: tuple  # per generator: tuple mapping partition i -> j
     witness: Partition | None = None
 
-    def to_json(self):
-        return {
-            "invariant": self.invariant,
-            "generator_actions": [list(a) for a in self.generator_actions],
-            "witness": None if self.witness is None else self.witness.to_json(),
-        }
-
 
 def is_invariant(g, e):
     """Whether g permutes the partitions of e, with the induced action."""
@@ -181,8 +157,7 @@ class CartesianSystem:
         subgroups = tuple(subgroups)
         if not subgroups:
             raise InvalidSystem("no subgroups given")
-        if not 0 <= base_point < ambient.degree:
-            raise DegreeMismatch(f"base point {base_point} outside the point set")
+        check_points(ambient.degree, [base_point])
         for k in subgroups:
             if k.degree != ambient.degree:
                 raise DegreeMismatch(f"degrees {k.degree} and {ambient.degree} differ")
@@ -228,17 +203,6 @@ class CartesianSystem:
                 return False
         return True
 
-    def to_json(self):
-        return {
-            "group": {
-                "degree": self.ambient.degree,
-                "generators": [list(g.images) for g in self.ambient.generators],
-                "name": self.ambient.name,
-            },
-            "base_point": self.base_point,
-            "subgroups": [[list(g.images) for g in k.generators] for k in self.subgroups],
-        }
-
     def __repr__(self):
         return (
             f"CartesianSystem(index={self.index}, base_point={self.base_point},"
@@ -255,17 +219,6 @@ class SystemReport:
     omega_prediction: int
     orders: tuple
     failing_index: int | None = None
-
-    def to_json(self):
-        return {
-            "valid": self.valid,
-            "eq1": self.eq1,
-            "eq2": list(self.eq2),
-            "homogeneous": self.homogeneous,
-            "omega_prediction": self.omega_prediction,
-            "orders": list(self.orders),
-            "failing_index": self.failing_index,
-        }
 
 
 def validate_system(k):
@@ -439,20 +392,12 @@ class RoundTripReport:
     decomposition_count: int
     forward_ok: bool
     backward_ok: bool
-    details: tuple = field(default_factory=tuple)
-    decompositions: tuple = ()  # sorted; not part of to_json
+    details: tuple = ()
+    decompositions: tuple = ()  # sorted
 
     @property
     def ok(self):
         return self.forward_ok and self.backward_ok
-
-    def to_json(self):
-        return {
-            "decomposition_count": self.decomposition_count,
-            "forward_ok": self.forward_ok,
-            "backward_ok": self.backward_ok,
-            "details": list(self.details),
-        }
 
 
 def round_trip_check(g, omega=0, plinth=None):

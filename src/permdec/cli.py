@@ -7,12 +7,10 @@ Exit codes: 0 all checks passed, 1 computation failure or failed check,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import atlas, brute, io
 from .cartesian import (
-    CartesianDecomposition,
     enumerate_cartesian_decompositions,
     is_invariant,
     to_decomposition,
@@ -27,10 +25,7 @@ from .wreath import DEGREE_BUDGET, WreathSpec, product_action_wreath
 
 
 def _emit(data, args):
-    text = io.dump_json(data, pretty=args.pretty)
-    if args.out:
-        io.dump_json(data, path=args.out, pretty=args.pretty)
-    print(text)
+    print(io.dump_json(data, path=args.out, pretty=args.pretty))
 
 
 def _load_group(path):
@@ -45,13 +40,12 @@ def _parse_wreath_spec(text):
 
 
 def cmd_verify_decomp(args):
-    e = CartesianDecomposition.from_json(io.load_json(args.decomp))
-    report = validate_decomposition(e).to_json()
-    ok = report["valid"]
+    e = io.decomposition_from_json(io.load_json(args.decomp))
+    report = validate_decomposition(e)
+    ok = report.valid
     if args.group:
-        g = _load_group(args.group)
-        inv = is_invariant(g, e)
-        report["invariance"] = inv.to_json()
+        inv = is_invariant(_load_group(args.group), e)
+        report = {**vars(report), "invariance": inv}
         ok = ok and inv.invariant
     _emit(report, args)
     return 0 if ok else 1
@@ -60,22 +54,21 @@ def cmd_verify_decomp(args):
 def cmd_verify_system(args):
     k = io.system_from_json(io.load_json(args.system))
     report = validate_system(k)
-    _emit(report.to_json(), args)
+    _emit(report, args)
     return 0 if report.valid else 1
 
 
 def cmd_to_system(args):
     g = _load_group(args.group)
-    e = CartesianDecomposition.from_json(io.load_json(args.decomp))
-    system = to_system(g, e, args.omega)
-    _emit(system.to_json(), args)
+    e = io.decomposition_from_json(io.load_json(args.decomp))
+    _emit(to_system(g, e, args.omega), args)
     return 0
 
 
 def cmd_to_decomp(args):
     k = io.system_from_json(io.load_json(args.system))
     e = to_decomposition(k)
-    _emit({"decomposition": e.to_json(), "index": e.index}, args)
+    _emit({"decomposition": e, "index": e.index}, args)
     return 0
 
 
@@ -88,7 +81,7 @@ def cmd_enumerate(args):
     report = {
         "count": len(decs),
         "decompositions": [
-            {"index": e.index, "homogeneous": e.is_homogeneous(), "partitions": e.to_json()}
+            {"index": e.index, "homogeneous": e.is_homogeneous(), "partitions": e}
             for e in decs
         ],
     }
@@ -109,7 +102,7 @@ def cmd_wreath(args):
         "group": io.group_to_json(w),
         "degree": w.degree,
         "order": w.order() if w.degree <= 2500 else None,
-        "natural_decomposition": e_nat.to_json(),
+        "natural_decomposition": e_nat,
     }
     _emit(report, args)
     return 0
@@ -122,7 +115,7 @@ def cmd_factcheck(args):
         report = is_full_factorisation(g, subs[0], subs[1])
     else:
         report = is_strong_multiple_factorisation(g, subs)
-    _emit(report.to_json(), args)
+    _emit(report, args)
     return 0 if report.holds else 1
 
 
@@ -265,7 +258,7 @@ def run(argv=None):
     try:
         return args.fn(args)
     except PermdecError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        print(io.dump_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 
 

@@ -28,15 +28,6 @@ class FactorisationReport:
     full: bool
     witness: str | None = None
 
-    def to_json(self):
-        return {
-            "holds": self.holds,
-            "orders": list(self.orders),
-            "prime_sets": [list(p) for p in self.prime_sets],
-            "full": self.full,
-            "witness": self.witness,
-        }
-
 
 def _require_subgroup(g, h, label):
     if not h.is_subgroup_of(g):
@@ -83,18 +74,6 @@ class MultipleFactorisationReport:
     others_orders: tuple  # |intersection of all but K_i| for each i
     omega_prediction: int
     trivial: bool  # some member equals the whole group
-
-    def to_json(self):
-        return {
-            "holds": self.holds,
-            "per_index": list(self.per_index),
-            "proper": list(self.proper),
-            "orders": list(self.orders),
-            "intersection_order": self.intersection_order,
-            "others_orders": list(self.others_orders),
-            "omega_prediction": self.omega_prediction,
-            "trivial": self.trivial,
-        }
 
 
 def _eq2(t, subgroups):

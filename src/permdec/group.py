@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import copy
 
-from .errors import DegreeMismatch, NotTransitive, PointOutOfRange
+from .errors import DegreeMismatch, InvalidInput, NotTransitive, PointOutOfRange
 from .perm import Permutation, compose
 
 
@@ -207,7 +207,7 @@ class PermGroup:
         generators = tuple(generators)
         if degree is None:
             if not generators:
-                raise ValueError("degree required for an empty generator list")
+                raise InvalidInput("degree required for an empty generator list")
             degree = generators[0].degree
         for g in generators:
             if g.degree != degree:

@@ -1,28 +1,43 @@
-"""JSON serialisation for groups and systems, and JSON file input and output."""
+"""The only JSON reader and writer in permdec.
+
+Every file is read through ``load_json`` and the ``*_from_json`` readers,
+which raise ``InvalidInput`` on malformed data. Every report is written
+through ``dump_json``: a report dataclass prints as its fields, a partition
+as its blocks, a decomposition as its partitions, a system as its group,
+base point and subgroup generators. Keys are sorted and tuples print as lists.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
-from .cartesian import CartesianSystem
+from .cartesian import CartesianDecomposition, CartesianSystem
 from .errors import InvalidInput
 from .group import PermGroup
-from .perm import Permutation
+from .perm import Partition, Permutation
 
 
 def group_to_json(g):
-    out = {"degree": g.degree, "generators": [list(p.images) for p in g.generators]}
+    out = {"degree": g.degree, "generators": [p.images for p in g.generators]}
     if g.name:
         out["name"] = g.name
     return out
 
 
-def _fields(data, *keys):
+def fields(data, *keys):
+    """The values of keys in a JSON object, or InvalidInput naming them."""
     try:
         return [data[key] for key in keys]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"expected an object with {', '.join(keys)}, got {data!r:.80}") from exc
+
+
+def _count(value, what):
+    if type(value) is not int or value < 0:
+        raise InvalidInput(f"{what} must be a non-negative integer, got {value!r:.80}")
+    return value
 
 
 def _perms(image_lists):
@@ -33,16 +48,40 @@ def _perms(image_lists):
 
 
 def group_from_json(data):
-    degree, generators = _fields(data, "degree", "generators")
-    return PermGroup(_perms(generators), degree=degree, name=data.get("name"))
+    degree, generators = fields(data, "degree", "generators")
+    return PermGroup(_perms(generators), degree=_count(degree, "degree"), name=data.get("name"))
+
+
+def decomposition_from_json(data):
+    if not isinstance(data, list):
+        raise InvalidInput(f"expected a list of partitions, got {data!r:.80}")
+    return CartesianDecomposition([Partition(blocks) for blocks in data])
 
 
 def system_from_json(data):
-    group, base_point, subgroups = _fields(data, "group", "base_point", "subgroups")
+    group, base_point, subgroups = fields(data, "group", "base_point", "subgroups")
     group = group_from_json(group)
     return CartesianSystem(
-        group, base_point, [PermGroup(_perms(gens), degree=group.degree) for gens in subgroups]
+        group,
+        _count(base_point, "base_point"),
+        [PermGroup(_perms(gens), degree=group.degree) for gens in subgroups],
     )
+
+
+def _to_json(obj):
+    if isinstance(obj, Partition):
+        return obj.blocks
+    if isinstance(obj, CartesianDecomposition):
+        return obj.partitions
+    if isinstance(obj, CartesianSystem):
+        return {
+            "group": {**group_to_json(obj.ambient), "name": obj.ambient.name},
+            "base_point": obj.base_point,
+            "subgroups": [[g.images for g in k.generators] for k in obj.subgroups],
+        }
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def load_json(path):
@@ -53,7 +92,7 @@ def load_json(path):
 
 
 def dump_json(data, path=None, pretty=False):
-    text = json.dumps(data, indent=2 if pretty else None, sort_keys=True)
+    text = json.dumps(data, indent=2 if pretty else None, sort_keys=True, default=_to_json)
     if path is not None:
         pathlib.Path(path).write_text(text + "\n")
     return text

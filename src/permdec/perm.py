@@ -230,6 +230,3 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({[list(b) for b in self.blocks]})"
-
-    def to_json(self):
-        return [list(b) for b in self.blocks]

@@ -14,6 +14,9 @@ S4 = {"degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]], "name": "S4"}
 S3 = {"degree": 4, "generators": [[1, 2, 0, 3], [1, 0, 2, 3]], "name": "S3"}
 C4 = {"degree": 4, "generators": [[1, 2, 3, 0]], "name": "C4"}
 A3 = {"degree": 4, "generators": [[1, 2, 0, 3]], "name": "A3"}
+V4 = {"degree": 4, "generators": KLEIN["generators"]}  # no name: a system prints "name": null
+C2A = {"degree": 4, "generators": [[1, 0, 3, 2]]}
+C2B = {"degree": 4, "generators": [[2, 3, 0, 1]]}
 GRID = [[[0, 1], [2, 3]], [[0, 2], [1, 3]]]
 BAD = [[[0, 1], [2, 3]], [[2, 3], [0, 1]]]
 SYSTEM = {
@@ -41,6 +44,9 @@ def files(tmp_path):
         "s3": write("s3", S3),
         "c4": write("c4", C4),
         "a3": write("a3", A3),
+        "v4": write("v4", V4),
+        "c2a": write("c2a", C2A),
+        "c2b": write("c2b", C2B),
         "grid": write("grid", GRID),
         "bad": write("bad", BAD),
         "system": write("system", SYSTEM),
@@ -254,25 +260,48 @@ def test_parser_builds():
     (["enumerate", "--group", "input.json"], '{"generators": [[1, 0]]}'),
     (["enumerate", "--group", "input.json"], '{"degree": 4}'),
     (["enumerate", "--group", "input.json"], '{"degree": 4, "generators": [5]}'),
+    (["enumerate", "--group", "input.json"], '{"degree": "x", "generators": []}'),
+    (["enumerate", "--group", "input.json"], '{"degree": -2, "generators": []}'),
+    (["enumerate", "--group", "input.json"], '{"degree": null, "generators": []}'),
     (["verify-system", "--system", "input.json"],
      '{"group": {"degree": 2, "generators": []}, "base_point": 0, "subgroups": [5]}'),
+    (["verify-system", "--system", "input.json"],
+     '{"group": {"degree": 2, "generators": []}, "base_point": "a", "subgroups": [[]]}'),
     (["wreath", "wr:x^2"], None),
     (["wreath", "wr:1^2"], None),
     (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], [1, 2]]]"),
     (["verify-decomp", "--decomp", "input.json"], '[[[0, "a"], [1, 2]]]'),
     (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], 5]]"),
+    (["verify-decomp", "--decomp", "input.json"], "5"),
     (["factcheck", "--group", "s4.json", "s3.json"], None),
 ], ids=[
     "missing file", "unreadable file", "malformed json", "group without degree",
-    "group without generators", "generator not a list", "subgroup not a list",
+    "group without generators", "generator not a list", "degree not a number",
+    "negative degree", "degree null", "subgroup not a list", "base point not a number",
     "wreath base not a number", "wreath base below 2",
-    "not a partition", "point not a number", "block not a list", "one subgroup",
+    "not a partition", "point not a number", "block not a list",
+    "decomposition not a list", "one subgroup",
 ])
 def test_bad_input_is_a_json_error(capsys, files, tmp_path, monkeypatch, argv, text):
     monkeypatch.chdir(tmp_path)  # where `files` wrote s4.json and s3.json
     if text is not None:
         (tmp_path / "input.json").write_text(text)
     code, data = invoke(capsys, argv)
+    assert code == 1
+    assert data["error"] == "InvalidInput" and data["message"]
+
+
+@pytest.mark.parametrize("argv", [["atlas", "verify", "KLEIN_GRID"], ["atlas", "list"], ["corpus"]],
+                         ids=["atlas verify", "atlas list", "corpus"])
+@pytest.mark.parametrize("drop", [None, "desk_scale", "citation"],
+                         ids=["malformed json", "no desk_scale", "no citation"])
+def test_bad_case_file_is_a_json_error(capsys, tmp_path, argv, drop):
+    (tmp_path / "cases").mkdir()
+    case = tmp_path / "cases" / "KLEIN_GRID.json"
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / case.name).read_text())
+    case.write_text(json.dumps(record)[:-1] if drop is None else
+                    json.dumps({k: v for k, v in record.items() if k != drop}))
+    code, data = invoke(capsys, argv + ["--data-dir", str(tmp_path)])
     assert code == 1
     assert data["error"] == "InvalidInput" and data["message"]
 
@@ -316,3 +345,29 @@ def test_wreath_matches_golden_output(capsys, spec):
     assert run(["wreath", f"wr:{spec}"]) == 0
     golden = (GOLDEN / f"wreath_{spec.replace('^', '_')}.json").read_bytes()
     assert capsys.readouterr().out.encode() == golden
+
+
+# recorded from the CLI while each report class wrote its own JSON
+REPORTS = {
+    "verify_decomp": ["verify-decomp", "--decomp", "grid"],
+    "verify_decomp_invalid": ["verify-decomp", "--decomp", "bad"],
+    "verify_decomp_not_invariant": ["verify-decomp", "--decomp", "grid", "--group", "s4"],
+    "verify_system": ["verify-system", "--system", "system"],
+    "verify_system_failing": ["verify-system", "--system", "bad_system"],
+    "to_system": ["to-system", "--group", "klein", "--decomp", "grid"],
+    "to_system_unnamed": ["to-system", "--group", "v4", "--decomp", "grid"],
+    "to_decomp": ["to-decomp", "--system", "system"],
+    "factcheck_pair": ["factcheck", "--group", "klein", "c2a", "c2b"],
+    "factcheck_failing_pair": ["factcheck", "--group", "s4", "s3", "c4"],
+    "factcheck_triple": ["factcheck", "--group", "klein", "klein", "klein", "klein"],
+    "enumerate_oracle": ["enumerate", "--group", "klein", "--plinth", "klein", "--oracle"],
+}
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_report_matches_golden_output(capsys, files, case, pretty):
+    argv = [files.get(a, a) for a in REPORTS[case]] + ["--pretty"] * pretty
+    run(argv)
+    golden = GOLDEN / "reports" / f"{case}{'.pretty' * pretty}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

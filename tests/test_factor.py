@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from permdec import (
     is_strong_multiple_factorisation,
     normaliser_in,
 )
-from permdec import atlas, cartesian, factor, structure
+from permdec import atlas, cartesian, factor, io, structure
 from permdec.brute import product_set
 from permdec.factor import _eq2, _find_conjugator, prime_divisors
 
@@ -119,7 +120,7 @@ def test_sp62_others_orders_are_the_pairwise_intersections(sp62_case):
     report = is_strong_multiple_factorisation(t, [k1, k2, k3])
     assert report.others_orders == (1440, 336, 432)
     assert report.others_orders[0] == intersect(k2, k3).order()
-    assert report.to_json()["others_orders"] == [1440, 336, 432]
+    assert json.loads(io.dump_json(report))["others_orders"] == [1440, 336, 432]
 
 
 def _small_subgroup(n, rng):
@@ -414,6 +415,6 @@ def test_equivalence_order_mismatch(s4, klein):
 def test_report_serialisation(a6_case):
     t = a6_case.group
     a, b = a6_case.subgroups["A"], a6_case.subgroups["B"]
-    data = is_factorisation(t, a, b).to_json()
+    data = json.loads(io.dump_json(is_factorisation(t, a, b)))
     assert data["holds"] and data["full"]
     assert data["orders"] == [60, 60, 10, 360]

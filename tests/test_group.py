@@ -3,6 +3,7 @@ import random
 import pytest
 
 from permdec import (
+    InvalidInput,
     NotTransitive,
     PermGroup,
     Permutation,
@@ -117,6 +118,11 @@ def test_trivial_group():
     assert t.order() == 1
     assert t.is_trivial()
     assert not t.is_transitive()
+
+
+def test_empty_generators_need_a_degree():
+    with pytest.raises(InvalidInput):
+        PermGroup(())
 
 
 def test_require_transitive(klein):

@@ -273,6 +273,24 @@ def test_structure_has_no_bare_asserts():
     assert isinstance(info.value, PermdecError)
 
 
+def test_only_io_knows_json():
+    # io is the one JSON boundary: it reads every file and writes every report
+    imports, methods = [], []
+    for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [path.name for alias in node.names if alias.name == "json"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                imports.append(path.name)
+            elif isinstance(node, ast.ClassDef):
+                methods += [(path.name, node.name, f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and f.name in ("to_json", "from_json")]
+    assert imports == ["io.py"]
+    assert methods == []
+
+
 # --- block systems ------------------------------------------------------------
 
 
