@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import io
 from .cartesian import _system_of, round_trip_check, to_system, validate_system
-from .errors import BudgetExceeded, OrderMismatch, UnknownCase
+from .errors import BudgetExceeded, InvalidInput, OrderMismatch, UnknownCase
 from .factor import (
     Automorphism,
     _eq2,
@@ -67,15 +67,17 @@ def load_case(name, data_dir=None):
     if not record.desk_scale:
         return record
 
-    group = io.group_from_json(data["group"])
-    if group.order() != data["expected"]["T_order"]:
-        raise OrderMismatch(
-            f"{name}: group order {group.order()} != recorded {data['expected']['T_order']}"
-        )
+    group_data, subgroup_gens = io.fields(data, "group", "subgroups")
+    t_order, subgroup_orders = io.fields(record.expected, "T_order", "subgroup_orders")
+    if not isinstance(subgroup_gens, dict):
+        raise InvalidInput(f"{name}: subgroups must map labels to generators")
+    group = io.group_from_json(group_data)
+    if group.order() != t_order:
+        raise OrderMismatch(f"{name}: group order {group.order()} != recorded {t_order}")
     subgroups = {}
-    for label, gens in data["subgroups"].items():
+    for label, gens in subgroup_gens.items():
         sub = io.group_from_json({"degree": group.degree, "generators": gens, "name": label})
-        want = data["expected"]["subgroup_orders"][label]
+        [want] = io.fields(subgroup_orders, label)
         if sub.order() != want:
             raise OrderMismatch(f"{name}: |{label}| = {sub.order()} != recorded {want}")
         subgroups[label] = sub

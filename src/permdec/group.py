@@ -18,6 +18,17 @@ explicit stack, and sifting works on image tuples. A sift or Schreier
 generator skips each level whose base point it already fixes, as the
 transversal element there is the identity; inverse transversal elements are
 built along the Schreier tree from the inverses of the tree's generators.
+A sift stops once its residue is the identity.
+
+A re-sweep is incremental. Each level keeps its Schreier tree, and a new
+tree reuses u_x and u_x^-1 for each point x whose tree edge and every
+ancestor edge are unchanged; such a point is kept. A finished sweep records
+how many generators the level had. A later sweep skips the pair (beta, s)
+when s was one of those and both beta and beta^s are kept: its Schreier
+generator is the very element the last finished sweep sifted, so it lies in
+the group of the levels below, which were complete then and have only grown
+since. Sifting it would give the identity and add nothing, so every chain is
+the one a sweep over all pairs builds.
 
 A chain grows through ``_Chain.extend``, which re-sweeps only the levels a
 new generator touches. A derived group adopts a complete chain:
@@ -70,24 +81,41 @@ def transversal(tree, identity):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "transversal", "inv")
+    __slots__ = ("point", "gens", "orbit", "tree", "transversal", "inv", "swept")
 
     def __init__(self, point):
         self.point = point
         self.gens = []
         self.orbit = [point]
+        self.tree = {}
         self.transversal = {}
         self.inv = {}
+        self.swept = 0  # generators the level had when its last sweep finished
 
     def recompute_orbit(self, degree):
-        tree = orbit(self.point, self.gens, on_points)
+        """Rebuild the Schreier tree; return the points whose tree path is unchanged,
+        which keep their u_x and u_x^-1."""
+        old_tree, old_u, old_inv = self.tree, self.transversal, self.inv
+        self.tree = tree = orbit(self.point, self.gens, on_points)
         self.orbit = list(tree)
-        self.transversal = transversal(tree, Permutation.identity(degree))
-        edges = {id(edge[1]): edge[1] for edge in tree.values() if edge}  # the tree's generators
-        s_inv = {key: s.inverse() for key, s in edges.items()}
+        self.transversal = u = {}
         self.inv = inv = {}
-        for x, edge in tree.items():  # u_x = u_parent * s, so u_x^-1 = s^-1 * u_parent^-1
-            inv[x] = self.transversal[x] if edge is None else s_inv[id(edge[1])] * inv[edge[0]]
+        kept = set()
+        s_inv = {}  # the inverses of the tree's generators, keyed by identity
+        for x, edge in tree.items():  # each parent comes before its children
+            if edge is None:
+                u[x] = inv[x] = Permutation.identity(degree)
+            elif edge[0] in kept and old_tree.get(x) == edge:
+                u[x], inv[x] = old_u[x], old_inv[x]
+            else:
+                parent, s = edge
+                if id(s) not in s_inv:
+                    s_inv[id(s)] = s.inverse()
+                u[x] = u[parent] * s
+                inv[x] = s_inv[id(s)] * inv[parent]  # u_x^-1 = s^-1 * u_parent^-1
+                continue
+            kept.add(x)
+        return kept
 
 
 class _Chain:
@@ -135,6 +163,7 @@ class _Chain:
 
     def _strip_images(self, g, start=0):
         """Sift image tuple g through levels[start:]; returns the residue's images."""
+        identity = self._identity
         for level in self.levels[start:]:
             beta = g[level.point]
             if beta != level.point:  # else u_beta is the identity
@@ -142,6 +171,8 @@ class _Chain:
                 if u_inv is None:
                     return g
                 g = compose(g, u_inv.images)
+                if g == identity:
+                    return g
         return g
 
     def _complete(self, touched):
@@ -155,23 +186,32 @@ class _Chain:
                 stack.extend(self._sweep(k) for k in added)
 
     def _sweep(self, i):
-        """Sift level i's Schreier generators; yield the levels each residue is added to."""
+        """Sift level i's Schreier generators; yield the levels each residue is added to.
+
+        The pair (beta, s) is skipped when s is one of the generators the last
+        finished sweep had and beta and beta^s are kept: it was sifted then."""
         level = self.levels[i]
-        level.recompute_orbit(self.degree)
+        swept, level.swept = level.swept, 0  # an unfinished sweep leaves nothing to skip
+        kept = level.recompute_orbit(self.degree)
         gens = [s.images for s in level.gens]
         identity = self._identity
         point = level.point
         for beta in level.orbit:
             u = level.transversal[beta].images
-            for s in gens:  # u_point is the identity
+            sifted = swept if beta in kept else 0  # pairs the last sweep sifted
+            for j, s in enumerate(gens):  # u_point is the identity
+                gamma = s[beta]
+                if j < sifted and gamma in kept:
+                    continue
                 sg = s if beta == point else compose(u, s)
-                if s[beta] != point:
-                    sg = compose(sg, level.inv[s[beta]].images)
+                if gamma != point:
+                    sg = compose(sg, level.inv[gamma].images)
                 if sg == identity:
                     continue
                 residue = self._strip_images(sg, i + 1)
                 if residue != identity:
                     yield self._add_gen(Permutation._unchecked(residue), i + 1)
+        level.swept = len(gens)
 
     def order(self):
         out = 1

@@ -60,6 +60,8 @@ def decomposition_from_json(data):
 
 def system_from_json(data):
     group, base_point, subgroups = fields(data, "group", "base_point", "subgroups")
+    if not isinstance(subgroups, list):
+        raise InvalidInput(f"expected a list of generator lists, got {subgroups!r:.80}")
     group = group_from_json(group)
     return CartesianSystem(
         group,

@@ -1,6 +1,7 @@
 """The stabiliser-chain kernel: pinned chains, deep chains, brute-force oracles."""
 
 import hashlib
+import math
 import random
 import sys
 
@@ -39,12 +40,13 @@ def _fingerprint(chain):
     )
 
 
-def _relabelled_s8():
-    pi = list(range(8))
-    random.Random(8).shuffle(pi)
+def _relabelled_symmetric(n):
+    """Sym(n) from the adjacent transpositions of a seeded shuffle of its points."""
+    pi = list(range(n))
+    random.Random(n).shuffle(pi)
     gens = []
-    for i in range(7):
-        images = list(range(8))
+    for i in range(n - 1):
+        images = list(range(n))
         a, b = pi[i], pi[i + 1]
         images[a], images[b] = b, a
         gens.append(Permutation(images))
@@ -75,7 +77,7 @@ def _pair_swaps(k):
 PINNED = [
     (
         "S8",
-        _relabelled_s8,
+        lambda: _relabelled_symmetric(8),
         (0, 4, 1, 2, 3, 6, 5),
         (8, 7, 6, 5, 4, 3, 2),
         "c6c7ec5eccecfedb5aa991e1362bad39204878e259ab502a52e6267f12a0eedd",
@@ -100,6 +102,13 @@ PINNED = [
         tuple(range(0, 32, 2)),
         (2,) * 16,
         "ccb5bf3170383e188fd82f392ae313643834d48f503aefd149676fccabf5cb70",
+    ),
+    (
+        "S12",
+        lambda: _relabelled_symmetric(12),
+        (9, 1, 6, 0, 2, 5, 4, 7, 3, 8, 10),
+        (12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2),
+        "146343f74e33abf18a453497d0ade0a81b9ade99ff520e944f84375c3b808b2c",
     ),
 ]
 
@@ -178,14 +187,21 @@ def test_pair_swap_chains_grow_quadratically(monkeypatch):
     assert calls[0] - before <= len(swapped)
 
 
+def test_relabelled_s16_sifts_each_schreier_generator_once_per_level(monkeypatch):
+    # a sweep that sifts every pair again after each new generator makes 7,750
+    calls = _count_products(monkeypatch)
+    assert _relabelled_symmetric(16).order() == math.factorial(16)
+    assert calls[0] <= 0.6 * 7750
+
+
 # --- brute-force oracle -------------------------------------------------------
 
 
 @st.composite
-def generator_sets(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def generator_sets(draw, max_degree=7, max_size=3):
+    n = draw(st.integers(min_value=1, max_value=max_degree))
     perm = st.permutations(list(range(n))).map(Permutation)
-    return n, draw(st.lists(perm, min_size=1, max_size=3))
+    return n, draw(st.lists(perm, min_size=1, max_size=max_size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,6 +221,54 @@ def test_chain_matches_closure(gens_n, seed):
         assert group.contains(x) == (x in closure)
     for g in closure:
         assert group.contains(g)
+
+
+# --- incremental re-sweeps ------------------------------------------------------
+
+
+def _every_pair_sifted(mp):
+    """Make every sweep build its tree afresh and sift all its pairs:
+    recompute_orbit marks no point kept."""
+    original = group_module._Level.recompute_orbit
+
+    def keep_none(level, degree):
+        level.tree = {}  # no old tree path to reuse
+        original(level, degree)
+        return set()
+
+    mp.setattr(group_module._Level, "recompute_orbit", keep_none)
+
+
+def _grown_fingerprints(gens, n):
+    """The chains of the group of gens, grown from a redundant list, and of a normal closure."""
+    pool = [*gens, *(a * b for a, b in zip(gens, gens[1:])), gens[0] * gens[0]]
+    return [
+        _fingerprint(PermGroup(gens, degree=n).chain),
+        _fingerprint(group_from_generators(pool, n).chain),
+        _fingerprint(normal_closure(PermGroup(gens, degree=n), [gens[-1] * gens[0]]).chain),
+    ]
+
+
+def _full_sweep_fingerprints(gens, n):
+    with pytest.MonkeyPatch.context() as mp:
+        _every_pair_sifted(mp)
+        return _grown_fingerprints(gens, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets(max_degree=10, max_size=4))
+def test_incremental_sweeps_build_the_chains_of_full_sweeps(gens_n):
+    n, gens = gens_n
+    assert _grown_fingerprints(gens, n) == _full_sweep_fingerprints(gens, n)
+
+
+def test_incremental_sweeps_build_relabelled_s12_as_full_sweeps(monkeypatch):
+    calls = _count_products(monkeypatch)
+    gens = list(_relabelled_symmetric(12).generators)
+    got = _grown_fingerprints(gens, 12)
+    incremental = calls[0]
+    assert got == _full_sweep_fingerprints(gens, 12)
+    assert incremental < calls[0] - incremental  # the reference sifts the skipped pairs
 
 
 # --- one chain per derived group ------------------------------------------------

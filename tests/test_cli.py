@@ -267,6 +267,8 @@ def test_parser_builds():
      '{"group": {"degree": 2, "generators": []}, "base_point": 0, "subgroups": [5]}'),
     (["verify-system", "--system", "input.json"],
      '{"group": {"degree": 2, "generators": []}, "base_point": "a", "subgroups": [[]]}'),
+    (["verify-system", "--system", "input.json"],
+     '{"group": {"degree": 2, "generators": []}, "base_point": 0, "subgroups": 5}'),
     (["wreath", "wr:x^2"], None),
     (["wreath", "wr:1^2"], None),
     (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], [1, 2]]]"),
@@ -278,6 +280,7 @@ def test_parser_builds():
     "missing file", "unreadable file", "malformed json", "group without degree",
     "group without generators", "generator not a list", "degree not a number",
     "negative degree", "degree null", "subgroup not a list", "base point not a number",
+    "subgroups not a list",
     "wreath base not a number", "wreath base below 2",
     "not a partition", "point not a number", "block not a list",
     "decomposition not a list", "one subgroup",
@@ -302,6 +305,25 @@ def test_bad_case_file_is_a_json_error(capsys, tmp_path, argv, drop):
     case.write_text(json.dumps(record)[:-1] if drop is None else
                     json.dumps({k: v for k, v in record.items() if k != drop}))
     code, data = invoke(capsys, argv + ["--data-dir", str(tmp_path)])
+    assert code == 1
+    assert data["error"] == "InvalidInput" and data["message"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.pop("group"),
+    lambda r: r.pop("subgroups"),
+    lambda r: r.pop("expected"),
+    lambda r: r["expected"].pop("T_order"),
+    lambda r: r["expected"]["subgroup_orders"].pop("K2"),
+    lambda r: r.update(subgroups=list(r["subgroups"].values())),
+], ids=["no group", "no subgroups", "no expected", "no T_order", "no subgroup order",
+        "subgroups not an object"])
+def test_case_file_without_a_field_is_a_json_error(capsys, tmp_path, edit):
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / "KLEIN_GRID.json").read_text())
+    edit(record)
+    (tmp_path / "cases" / "KLEIN_GRID.json").write_text(json.dumps(record))
+    code, data = invoke(capsys, ["atlas", "verify", "KLEIN_GRID", "--data-dir", str(tmp_path)])
     assert code == 1
     assert data["error"] == "InvalidInput" and data["message"]
 
