@@ -28,6 +28,12 @@ from .structure import CosetAction, centraliser_in_symmetric, intersect, normali
 from .wreath import full_stabiliser
 
 DEFAULT_DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
+_EXPECTED_KEYS = {  # the expected values each construction's _verify_* reads
+    "direct": ("intersection_order", "cd_count", "index", "K_orders", "W_order"),
+    "coset_action": ("intersection_order", "omega_size", "cd_count", "index", "K_orders", "W_order"),
+    "abstract_system": ("pairwise_intersections", "triple_intersection",
+                        "strong_multiple_factorisation", "indices", "omega_size"),
+}
 
 
 @dataclass
@@ -69,6 +75,7 @@ def load_case(name, data_dir=None):
 
     group_data, subgroup_gens = io.fields(data, "group", "subgroups")
     t_order, subgroup_orders = io.fields(record.expected, "T_order", "subgroup_orders")
+    io.fields(record.expected, *_EXPECTED_KEYS.get(record.construction, ()))
     if not isinstance(subgroup_gens, dict):
         raise InvalidInput(f"{name}: subgroups must map labels to generators")
     group = io.group_from_json(group_data)

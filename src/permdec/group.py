@@ -34,6 +34,14 @@ A chain grows through ``_Chain.extend``, which re-sweeps only the levels a
 new generator touches. A derived group adopts a complete chain:
 ``group_from_generators`` keeps the generators that extend one chain, and a
 point stabiliser keeps levels 1 onward of the chain it was read from.
+
+A chain on another base is rebuilt from the strong generators of the cached
+one, and is not swept when its orbit lengths multiply to the known order |G|.
+Level i holds exactly the generators fixing b_0..b_{i-1}, so their group H_i
+lies in G_i, the stabiliser of b_0..b_{i-1}, and H_{i+1} lies in H_i. As
+|b_i^H_i| <= |G_i : G_{i+1}|, a product equal to |G| makes every orbit full
+and the stabiliser of the base trivial; then, deepest level first,
+|H_i| >= |b_i^H_i| |H_{i+1}| = |G_i|, so every H_i is the full G_i.
 """
 
 from __future__ import annotations
@@ -121,7 +129,8 @@ class _Level:
 class _Chain:
     """Stabiliser chain: level i generates the stabiliser of base[0..i-1]."""
 
-    def __init__(self, degree, generators, base_hint=()):
+    def __init__(self, degree, generators, base_hint=(), order=None):
+        """Given the group's order, no level is swept if the laid-out orbits reach it."""
         self.degree = degree
         self.levels = []
         self._hint = list(base_hint)
@@ -129,6 +138,11 @@ class _Chain:
         for g in generators:
             if not g.is_identity():
                 self._add_gen(g, 0)
+        if order is not None:
+            for level in self.levels:
+                level.recompute_orbit(degree)
+            if self.order() == order:
+                return
         self._complete(range(len(self.levels)))
 
     @property
@@ -256,6 +270,7 @@ class PermGroup:
         self.generators = generators
         self.name = name
         self._chain = None
+        self._stabilisers = {}
 
     # chain plumbing ---------------------------------------------------------
 
@@ -266,8 +281,10 @@ class PermGroup:
         return self._chain
 
     def chain_with_base(self, base_hint):
-        """A fresh stabiliser chain whose base starts with the given points."""
-        return _Chain(self.degree, self.generators, base_hint=base_hint)
+        """A fresh stabiliser chain whose base starts with the given points, built
+        from the strong generators of the cached chain at the known order."""
+        strong = {g.images: g for level in self.chain.levels for g in level.gens}
+        return _Chain(self.degree, strong.values(), base_hint=base_hint, order=self.order())
 
     @property
     def base(self):
@@ -311,15 +328,19 @@ class PermGroup:
         return transversal(orbit(point, self.generators, on_points), self.identity)
 
     def point_stabiliser(self, point):
-        """Stabiliser of a point: levels 1 onward of a chain whose base starts
-        there, the cached one if it does (a base hint sets only the first point)."""
+        """Stabiliser of a point, made once per point: levels 1 onward of a chain
+        whose base starts there, the cached one if it does (a base hint sets only
+        the first point). Off the base the chain is built from the group's own
+        generators, not rebased: its level-1 generators are printed in systems."""
         check_points(self.degree, (point,))
-        chain = self.chain
-        if chain.base[:1] != (point,):
-            chain = self.chain_with_base((point,))
-        stab = copy.copy(chain)  # shares the levels it keeps
-        stab.levels = chain.levels[1:]
-        return _adopting(stab.levels[0].gens if stab.levels else (), stab)
+        if point not in self._stabilisers:
+            chain = self.chain
+            if chain.base[:1] != (point,):
+                chain = _Chain(self.degree, self.generators, base_hint=(point,))
+            stab = copy.copy(chain)  # shares the levels it keeps
+            stab.levels = chain.levels[1:]
+            self._stabilisers[point] = _adopting(stab.levels[0].gens if stab.levels else (), stab)
+        return self._stabilisers[point]
 
     # comparisons --------------------------------------------------------------
 

@@ -6,7 +6,8 @@ conjugator share one backtrack kernel (Butler, LNCS 559; Seress,
 the searched group's stabiliser chain: a node fixes the images of the
 first base points, and the property prunes each candidate image (for the
 intersection and the coset search an exact coset walker on the other
-group's chain, rebuilt on a matching base) and tests each leaf.
+group's chain, rebased from its strong generators onto a matching base)
+and tests each leaf.
 
 The conjugacy property, x with h^x = k for pairs (h, k) of equal order,
 prunes by orbits (Leon 1991): x maps each h-orbit onto a k-orbit of the
@@ -27,8 +28,9 @@ Every hit is essential and |K| is the product of the final orbit lengths,
 so the result is built without a pass over its elements.
 
 Block systems are found by closing the point stabiliser with transversal
-elements, using the lattice correspondence between subgroups above a
-point stabiliser and blocks through the point.
+elements, one per orbit of the point stabiliser, using the lattice
+correspondence between subgroups above a point stabiliser and blocks
+through the point.
 
 A coset action keys each right coset H z by its canonical element: along
 H's chain, z becomes u_beta * z with beta the level's orbit point that z
@@ -284,12 +286,16 @@ def _blocks_through(g, omega):
     containing omega: a subgroup's block is the omega-orbit, and the block's
     stabiliser is generated by G_omega together with transversal elements
     into the block. The blocks are the orbit of {omega} under joining with
-    the transversal element of each point.
+    the transversal element of the least point of each G_omega-orbit: a
+    block is a union of G_omega-orbits, and u_beta' lies in G_omega u_beta
+    G_omega for beta' in beta^G_omega, so the least point makes the join its
+    whole orbit makes, and makes it first.
     """
     g.require_transitive()
     trans = g.orbit_transversal(omega)
+    stab = g.point_stabiliser(omega)
     start = frozenset({omega})
-    found = {start: list(g.point_stabiliser(omega).generators)}
+    found = {start: list(stab.generators)}
 
     def join(block, beta):
         if beta in block:
@@ -299,7 +305,7 @@ def _blocks_through(g, omega):
         found.setdefault(joined, gens)
         return joined
 
-    orbit(start, range(g.degree), join)
+    orbit(start, sorted({first for first, _ in _orbit_ids(stab).values()}), join)
     return found
 
 

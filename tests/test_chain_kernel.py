@@ -359,6 +359,71 @@ def test_point_stabiliser_adopts_the_chain_it_reads(monkeypatch):
     assert len(calls) == 1
 
 
+def test_point_stabiliser_is_made_once_per_point(monkeypatch):
+    m12 = _m12()
+    before = _fingerprint(m12.chain)
+    points = (m12.base[0], m12.base[0] + 1)  # on the base and off it
+    made = [m12.point_stabiliser(p) for p in points]
+    for stab in made:
+        stab.order()
+    calls = _count_completions(monkeypatch)
+    for point, stab in zip(points, made):
+        again = m12.point_stabiliser(point)
+        assert again is stab and again.order() == 7920
+    assert calls == []
+    assert _fingerprint(m12.chain) == before
+
+
+# --- rebases ---------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(max_degree=8), st.data())
+def test_rebase_keeps_the_prefix_and_the_group(gens_n, data):
+    n, gens = gens_n
+    prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+    group = PermGroup(gens, degree=n)
+    chain = group.chain_with_base(prefix)
+    closure = mulclose(gens)
+    # a chain shorter than the prefix ends where the group fixes the rest
+    assert chain.base[:len(prefix)] == prefix[:len(chain.base)]
+    assert chain.order() == group.order() == len(closure)
+    _assert_inverse_transversals(chain)
+    for i, lv in enumerate(chain.levels):
+        assert all(g.images[b] == b for g in lv.gens for b in chain.base[:i])
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for x in [*(_random_perm(n, rng) for _ in range(20)), *closure]:
+        assert chain.contains(x) == (x in closure)
+
+
+def test_rebase_sweeps_when_the_strong_generators_fall_short(monkeypatch):
+    s4 = PermGroup([C(4, [(0, 1, 2, 3)]), C(4, [(0, 1)])])
+    assert s4.base == (0, 1, 2)
+    calls = _count_completions(monkeypatch)
+    chain = s4.chain_with_base((0, 2))
+    assert len(calls) == 1
+    assert chain.base == (0, 2, 1) and chain.order() == 24
+    _assert_inverse_transversals(chain)
+
+
+def test_rebase_stops_at_the_known_order(monkeypatch):
+    # A of the A6_36 case on the base of B: its strong generators lay out
+    # orbits of 5, 4 and 3 points there, so no Schreier generator is sifted
+    from permdec.atlas import load_case
+
+    case = load_case("A6_36")
+    a, b = case.subgroups["A"], case.subgroups["B"]
+    assert a.order() == b.order() == 60
+    calls = _count_completions(monkeypatch)
+    chain = a.chain_with_base(b.base)
+    assert calls == []
+    assert chain.base == b.base == (0, 1, 2)
+    assert [len(lv.orbit) for lv in chain.levels] == [5, 4, 3]
+    _assert_inverse_transversals(chain)
+    assert all(chain.contains(x) for x in a.generators)
+    assert not all(chain.contains(x) for x in b.generators)
+
+
 def test_derived_groups_leave_the_parent_chain_unchanged():
     m12 = _m12()
     before = _fingerprint(m12.chain)

@@ -328,6 +328,37 @@ def test_case_file_without_a_field_is_a_json_error(capsys, tmp_path, edit):
     assert data["error"] == "InvalidInput" and data["message"]
 
 
+# the expected values each construction's verification compares against
+READ_EXPECTED = {
+    "KLEIN_GRID": {"T_order", "subgroup_orders", "intersection_order", "cd_count", "index",
+                   "K_orders", "W_order"},
+    "A6_36": {"T_order", "subgroup_orders", "intersection_order", "omega_size", "cd_count",
+              "index", "K_orders", "W_order"},
+    "SP62_63": {"T_order", "subgroup_orders", "pairwise_intersections", "triple_intersection",
+                "strong_multiple_factorisation", "indices", "omega_size"},
+}
+EXPECTED_DROPS = [
+    (case, key)
+    for case in READ_EXPECTED
+    for key in sorted(json.loads((DEFAULT_DATA_DIR / "cases" / f"{case}.json").read_text())["expected"])
+]
+
+
+@pytest.mark.parametrize("case,key", EXPECTED_DROPS, ids=[f"{c} no {k}" for c, k in EXPECTED_DROPS])
+def test_case_file_without_an_expected_value_is_a_json_error(capsys, tmp_path, case, key):
+    # a value the verification reads is checked on load; any other may be left out
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / f"{case}.json").read_text())
+    del record["expected"][key]
+    (tmp_path / "cases" / f"{case}.json").write_text(json.dumps(record))
+    code, data = invoke(capsys, ["atlas", "verify", case, "--data-dir", str(tmp_path)])
+    if key in READ_EXPECTED[case]:
+        assert code == 1
+        assert data["error"] == "InvalidInput" and key in data["message"]
+    else:
+        assert code == 0 and data["ok"]
+
+
 def test_corpus_pretty_writes_out(capsys, tmp_path):
     # one small desk case keeps the run short; the oracle suite always runs
     (tmp_path / "cases").mkdir()

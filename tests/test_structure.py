@@ -319,6 +319,37 @@ def test_partition_from_block(s3s3):
     assert p.blocks == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
 
+def _blocks_joining_every_point(g, omega):
+    """Blocks through omega with their generators, joining every block with every point."""
+    trans = g.orbit_transversal(omega)
+    start = frozenset({omega})
+    found = {start: list(g.point_stabiliser(omega).generators)}
+
+    def join(block, beta):
+        if beta in block:
+            return block
+        gens = found[block] + [trans[beta]]
+        joined = frozenset(group_module.orbit(omega, gens, group_module.on_points))
+        found.setdefault(joined, gens)
+        return joined
+
+    group_module.orbit(start, range(g.degree), join)
+    return found
+
+
+@pytest.mark.parametrize("which", ["a6_36", "KLEIN_GRID", "s3s3"], ids=["A6_36", "KLEIN_GRID", "S3xS3"])
+def test_blocks_through_joins_one_point_per_suborbit(which, request):
+    from permdec.atlas import load_case
+
+    g = load_case(which).group if which == "KLEIN_GRID" else request.getfixturevalue(which)
+    for omega in (0, g.degree - 1):
+        got = structure._blocks_through(g, omega)
+        want = _blocks_joining_every_point(g, omega)
+        assert list(got) == list(want)  # the same blocks, found in the same order
+        for block, gens in want.items():
+            assert [p.images for p in got[block]] == [p.images for p in gens]
+
+
 # --- normal structure -----------------------------------------------------------
 
 
