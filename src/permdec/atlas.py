@@ -34,6 +34,11 @@ _EXPECTED_KEYS = {  # the expected values each construction's _verify_* reads
     "abstract_system": ("pairwise_intersections", "triple_intersection",
                         "strong_multiple_factorisation", "indices", "omega_size"),
 }
+_EXPECTED_TYPES = {  # the JSON type each of those values is compared as; lists hold integers
+    "intersection_order": int, "omega_size": int, "cd_count": int, "index": int, "W_order": int,
+    "triple_intersection": int, "K_orders": list, "indices": list,
+    "pairwise_intersections": dict, "strong_multiple_factorisation": bool,
+}
 
 
 @dataclass
@@ -75,7 +80,12 @@ def load_case(name, data_dir=None):
 
     group_data, subgroup_gens = io.fields(data, "group", "subgroups")
     t_order, subgroup_orders = io.fields(record.expected, "T_order", "subgroup_orders")
-    io.fields(record.expected, *_EXPECTED_KEYS.get(record.construction, ()))
+    keys = _EXPECTED_KEYS.get(record.construction, ())
+    for key, value in zip(keys, io.fields(record.expected, *keys)):
+        want = _EXPECTED_TYPES[key]
+        if type(value) is not want or (want is list and any(type(x) is not int for x in value)):
+            kind = "list of int" if want is list else want.__name__
+            raise InvalidInput(f"{name}: expected.{key} must be of type {kind}, got {value!r:.80}")
     if not isinstance(subgroup_gens, dict):
         raise InvalidInput(f"{name}: subgroups must map labels to generators")
     group = io.group_from_json(group_data)

@@ -14,6 +14,9 @@ from .cartesian import CartesianDecomposition
 from .errors import BudgetExceeded
 from .perm import Partition, Permutation
 
+ORACLE_STEP_BUDGET = 10**7  # search steps brute_force_decompositions may take
+CLOSURE_LIMIT = 10**6  # elements mulclose may list
+
 
 def uniform_partitions(n, block_size):
     """All partitions of 0..n-1 into blocks of the given size."""
@@ -55,7 +58,7 @@ def is_cartesian_set(partitions):
                for choice in product(*(p.blocks for p in partitions)))
 
 
-def brute_force_decompositions(g, budget=10**7):
+def brute_force_decompositions(g):
     """All nontrivial g-invariant Cartesian decompositions, by exhaustion.
 
     Scans every subset of the proper uniform partitions whose block
@@ -72,8 +75,8 @@ def brute_force_decompositions(g, budget=10**7):
 
     def dfs(start, chosen, prod):
         steps[0] += 1
-        if steps[0] > budget:
-            raise BudgetExceeded(f"oracle enumeration exceeded {budget} steps")
+        if steps[0] > ORACLE_STEP_BUDGET:
+            raise BudgetExceeded(f"oracle enumeration exceeded {ORACLE_STEP_BUDGET} steps")
         if len(chosen) >= 2 and prod == n:
             e_set = frozenset(chosen)
             if (
@@ -93,7 +96,7 @@ def brute_force_decompositions(g, budget=10**7):
     return sorted(set(results))
 
 
-def mulclose(gens, limit=10**6):
+def mulclose(gens):
     """The full element set generated by the given permutations."""
     gens = list(gens)
     if not gens:
@@ -110,8 +113,8 @@ def mulclose(gens, limit=10**6):
             for g in gens:
                 y = x * g
                 if y not in seen:
-                    if len(seen) >= limit:
-                        raise BudgetExceeded(f"closure exceeded {limit} elements")
+                    if len(seen) >= CLOSURE_LIMIT:
+                        raise BudgetExceeded(f"closure exceeded {CLOSURE_LIMIT} elements")
                     seen.add(y)
                     new.append(y)
         frontier = new

@@ -158,9 +158,7 @@ class CartesianSystem:
         if not subgroups:
             raise InvalidSystem("no subgroups given")
         check_points(ambient.degree, [base_point])
-        for k in subgroups:
-            if k.degree != ambient.degree:
-                raise DegreeMismatch(f"degrees {k.degree} and {ambient.degree} differ")
+        for k in subgroups:  # is_subgroup_of raises DegreeMismatch on another degree
             if not k.is_subgroup_of(ambient):
                 raise NotSubgroup("system member is not a subgroup of the ambient group")
         object.__setattr__(self, "ambient", ambient)
@@ -187,8 +185,7 @@ class CartesianSystem:
     def same_system(self, other):
         """Equality as sets of subgroups over the same ambient and base point."""
         if (
-            self.ambient.degree != other.ambient.degree
-            or self.base_point != other.base_point
+            self.base_point != other.base_point
             or self.index != other.index
             or not self.ambient.same_group(other.ambient)
         ):

@@ -30,14 +30,14 @@ the group of the levels below, which were complete then and have only grown
 since. Sifting it would give the identity and add nothing, so every chain is
 the one a sweep over all pairs builds.
 
-A chain grows through ``_Chain.extend``, which re-sweeps only the levels a
-new generator touches. A derived group adopts a complete chain:
-``group_from_generators`` keeps the generators that extend one chain, and a
-point stabiliser keeps levels 1 onward of the chain it was read from.
-
-A chain on another base is rebuilt from the strong generators of the cached
-one, and is not swept when its orbit lengths multiply to the known order |G|.
-Level i holds exactly the generators fixing b_0..b_{i-1}, so their group H_i
+``_Chain.extend`` re-sweeps only the levels a new generator touches; only
+``group_from_generators`` and ``normal_closure`` extend, each a chain it
+then adopts. A point stabiliser adopts levels 1 onward of
+``chain_with_base((point,))``, the one way to a chain on chosen base points,
+whose callers only read it. That is the cached chain if its base begins
+there, else a rebuild from the cached chain's strong generators, not swept
+when its orbit lengths multiply to the known order |G|. The stop is exact:
+level i holds exactly the generators fixing b_0..b_{i-1}, so their group H_i
 lies in G_i, the stabiliser of b_0..b_{i-1}, and H_{i+1} lies in H_i. As
 |b_i^H_i| <= |G_i : G_{i+1}|, a product equal to |G| makes every orbit full
 and the stabiliser of the base trivial; then, deepest level first,
@@ -281,8 +281,10 @@ class PermGroup:
         return self._chain
 
     def chain_with_base(self, base_hint):
-        """A fresh stabiliser chain whose base starts with the given points, built
-        from the strong generators of the cached chain at the known order."""
+        """A chain whose base starts with the given points, for reading only: the
+        cached one if its base does, else one from its strong generators."""
+        if self.chain.base[:len(base_hint)] == tuple(base_hint):
+            return self.chain
         strong = {g.images: g for level in self.chain.levels for g in level.gens}
         return _Chain(self.degree, strong.values(), base_hint=base_hint, order=self.order())
 
@@ -328,15 +330,11 @@ class PermGroup:
         return transversal(orbit(point, self.generators, on_points), self.identity)
 
     def point_stabiliser(self, point):
-        """Stabiliser of a point, made once per point: levels 1 onward of a chain
-        whose base starts there, the cached one if it does (a base hint sets only
-        the first point). Off the base the chain is built from the group's own
-        generators, not rebased: its level-1 generators are printed in systems."""
+        """Stabiliser of a point, made once per point from levels 1 onward of
+        ``chain_with_base((point,))``."""
         check_points(self.degree, (point,))
         if point not in self._stabilisers:
-            chain = self.chain
-            if chain.base[:1] != (point,):
-                chain = _Chain(self.degree, self.generators, base_hint=(point,))
+            chain = self.chain_with_base((point,))
             stab = copy.copy(chain)  # shares the levels it keeps
             stab.levels = chain.levels[1:]
             self._stabilisers[point] = _adopting(stab.levels[0].gens if stab.levels else (), stab)
@@ -350,13 +348,9 @@ class PermGroup:
         return all(other.contains(g) for g in self.generators)
 
     def same_group(self, other):
-        """Equality as subgroups of Sym(n): equal order plus mutual membership."""
-        return (
-            self.degree == other.degree
-            and self.order() == other.order()
-            and self.is_subgroup_of(other)
-            and other.is_subgroup_of(self)
-        )
+        """Equality as subgroups of Sym(n): with equal orders one inclusion is equality."""
+        return (self.degree == other.degree and self.order() == other.order()
+                and self.is_subgroup_of(other))
 
     def require_transitive(self):
         if not self.is_transitive():

@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd
 from operator import itemgetter
 
-from .errors import DegreeMismatch, InvalidInput, NonBijection, PointOutOfRange
+from .errors import DegreeMismatch, InvalidInput, NonBijection, PointOutOfRange, check
 
 
 class Permutation:
@@ -209,10 +209,9 @@ class Partition:
     def block_containing(self, point):
         if not 0 <= point < self.degree:
             raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
-        for b in self.blocks:
-            if point in b:
-                return b
-        raise AssertionError("unreachable")
+        block = next((b for b in self.blocks if point in b), None)
+        check(block is not None, f"no block of a partition of 0..{self.degree - 1} holds {point}")
+        return block
 
     def apply(self, perm):
         if perm.degree != self.degree:

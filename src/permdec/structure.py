@@ -6,8 +6,8 @@ conjugator share one backtrack kernel (Butler, LNCS 559; Seress,
 the searched group's stabiliser chain: a node fixes the images of the
 first base points, and the property prunes each candidate image (for the
 intersection and the coset search an exact coset walker on the other
-group's chain, rebased from its strong generators onto a matching base)
-and tests each leaf.
+group's chain on a matching base, from ``chain_with_base``) and tests
+each leaf.
 
 The conjugacy property, x with h^x = k for pairs (h, k) of equal order,
 prunes by orbits (Leon 1991): x maps each h-orbit onto a k-orbit of the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DegreeMismatch, NotSubgroup, PointOutOfRange, check
+from .errors import BudgetExceeded, DegreeMismatch, InvalidInput, NotSubgroup, PointOutOfRange, check
 from .group import PermGroup, _adopting, _Chain, check_points, group_from_generators, on_points, orbit
 from .perm import Partition, Permutation, compose
 
@@ -212,13 +212,9 @@ class _Backtrack:
 
 
 def intersect(a, b):
-    """The intersection a ∩ b by backtrack over the smaller group's chain."""
+    """a ∩ b by backtrack over the smaller group's chain; if a <= b the search finds a."""
     if a.degree != b.degree:
         raise DegreeMismatch(f"degrees {a.degree} and {b.degree} differ")
-    if a.is_subgroup_of(b):
-        return a
-    if b.is_subgroup_of(a):
-        return b
     if b.order() < a.order():
         a, b = b, a
     chain_b = b.chain_with_base(a.chain.base)
@@ -261,7 +257,7 @@ def coset_intersection(terms):
     """Intersection of right cosets K_i x_i; a Coset of ∩K_i, or None if empty."""
     terms = list(terms)
     if not terms:
-        raise ValueError("need at least one coset")
+        raise InvalidInput("need at least one coset")
     degree = terms[0][0].degree
     for k, x in terms:
         if k.degree != degree or x.degree != degree:

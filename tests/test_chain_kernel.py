@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdec import DegreeMismatch, PermGroup, Permutation, group_from_generators, normal_closure
+from permdec import (
+    DegreeMismatch,
+    PermGroup,
+    Permutation,
+    group_from_generators,
+    intersect,
+    normal_closure,
+)
 from permdec import group as group_module
 from permdec.brute import mulclose
 
@@ -422,6 +429,55 @@ def test_rebase_stops_at_the_known_order(monkeypatch):
     _assert_inverse_transversals(chain)
     assert all(chain.contains(x) for x in a.generators)
     assert not all(chain.contains(x) for x in b.generators)
+
+
+def test_chain_with_base_is_the_cached_chain_on_its_own_base():
+    m12 = _m12()
+    for k in (1, len(m12.base)):
+        assert m12.chain_with_base(m12.base[:k]) is m12.chain
+
+
+def test_off_base_point_stabiliser_is_laid_out_at_the_known_order(monkeypatch):
+    # 11 is off M12's base; the strong generators rebased there reach |M12| unswept
+    m12 = _m12()
+    m12.order()
+    assert 11 not in m12.base
+    calls = _count_completions(monkeypatch)
+    stab = m12.point_stabiliser(11)
+    assert stab.order() == 7920
+    assert calls == []
+    assert all(g.images[11] == 11 and m12.contains(g) for g in stab.generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(max_degree=8), st.integers(min_value=0, max_value=2**32))
+def test_point_stabilisers_match_closure(gens_n, seed):
+    n, gens = gens_n
+    group = PermGroup(gens, degree=n)
+    closure = sorted(mulclose(gens), key=lambda x: x.images)
+    rng = random.Random(seed)
+    for point in range(n):
+        want = {x for x in closure if x.images[point] == point}
+        stab = group.point_stabiliser(point)
+        assert stab.order() == len(want)
+        assert all(x in want for x in stab.generators)
+        for x in rng.sample(closure, min(len(closure), 10)):
+            assert stab.contains(x) == (x in want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(max_degree=8), st.data())
+def test_intersection_with_an_overgroup_is_the_subgroup(gens_n, data):
+    n, gens = gens_n
+    b = PermGroup(gens, degree=n)
+    closure = sorted(mulclose(gens), key=lambda x: x.images)
+    a_gens = data.draw(st.lists(st.sampled_from(closure), max_size=3))
+    a = PermGroup(a_gens, degree=n)
+    want = mulclose(a_gens) or {a.identity}
+    for got in (intersect(a, b), intersect(b, a)):
+        assert got.same_group(a)
+        assert got.order() == len(want)
+        assert all(x in want for x in got.generators)
 
 
 def test_derived_groups_leave_the_parent_chain_unchanged():

@@ -359,6 +359,31 @@ def test_case_file_without_an_expected_value_is_a_json_error(capsys, tmp_path, c
         assert code == 0 and data["ok"]
 
 
+EXPECTED_RETYPES = [
+    ("SP62_63", "indices", 5),
+    ("SP62_63", "indices", [120, "28", 36]),
+    ("SP62_63", "strong_multiple_factorisation", 1),
+    ("SP62_63", "pairwise_intersections", [432, 336, 1440]),
+    ("A6_36", "K_orders", 7),
+    ("A6_36", "omega_size", 36.0),
+    ("KLEIN_GRID", "cd_count", "3"),
+    ("KLEIN_GRID", "index", True),
+]
+
+
+@pytest.mark.parametrize("case,key,value", EXPECTED_RETYPES,
+                         ids=[f"{c} {k} {v!r}" for c, k, v in EXPECTED_RETYPES])
+def test_case_file_with_a_wrong_typed_expected_value_is_a_json_error(capsys, tmp_path, case, key,
+                                                                    value):
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / f"{case}.json").read_text())
+    record["expected"][key] = value
+    (tmp_path / "cases" / f"{case}.json").write_text(json.dumps(record))
+    code, data = invoke(capsys, ["atlas", "verify", case, "--data-dir", str(tmp_path)])
+    assert code == 1
+    assert data["error"] == "InvalidInput" and key in data["message"]
+
+
 def test_corpus_pretty_writes_out(capsys, tmp_path):
     # one small desk case keeps the run short; the oracle suite always runs
     (tmp_path / "cases").mkdir()

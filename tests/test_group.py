@@ -113,6 +113,17 @@ def test_same_group_and_subgroup(s4, klein):
     assert klein.same_group(other)
 
 
+def test_same_group_with_equal_orders_is_not_equality(s4, klein):
+    # three subgroups of S4 of order 4: the normal Klein group, another Klein group, C4
+    others = [PermGroup([C(4, [(0, 1)]), C(4, [(2, 3)])]), PermGroup([C(4, [(0, 1, 2, 3)])])]
+    for other in others:
+        assert other.order() == klein.order() == 4
+        assert not klein.same_group(other) and not other.same_group(klein)
+        assert other.same_group(PermGroup(other.generators[::-1]))
+    # one inclusion decides only at equal orders
+    assert klein.is_subgroup_of(s4) and not klein.same_group(s4)
+
+
 def test_trivial_group():
     t = PermGroup((), degree=5)
     assert t.order() == 1

@@ -13,6 +13,7 @@ from permdec import (
     CosetAction,
     DegreeMismatch,
     InternalError,
+    InvalidInput,
     NotSubgroup,
     PermdecError,
     PermGroup,
@@ -271,6 +272,25 @@ def test_structure_has_no_bare_asserts():
     with pytest.raises(InternalError) as info:
         check(False, "broken invariant")
     assert isinstance(info.value, PermdecError)
+
+
+def test_structure_raises_no_assertion_errors():
+    # an unreachable branch is an errors.check, so it reaches the CLI as a PermdecError
+    found = []
+    for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
+def test_coset_intersection_of_no_cosets_is_invalid_input():
+    with pytest.raises(InvalidInput) as info:
+        coset_intersection([])
+    assert isinstance(info.value, ValueError)
 
 
 def test_only_io_knows_json():
