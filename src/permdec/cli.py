@@ -256,6 +256,8 @@ def run(argv=None):
     if args.verb == "atlas" and args.action == "verify" and not args.name:
         parser.error("atlas verify requires a case name")
     try:
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise InvalidInput(f"--budget must be at least 1, got {args.budget}")
         return args.fn(args)
     except PermdecError as exc:
         print(io.dump_json({"error": type(exc).__name__, "message": str(exc)}))

@@ -159,12 +159,6 @@ class Automorphism:
     def identity(name="id"):
         return Automorphism(lambda x: x, name=name)
 
-    @staticmethod
-    def from_relabelling(r, name=None):
-        """Conjugation x -> r^-1 x r by a fixed relabelling permutation."""
-        r_inv = r.inverse()
-        return Automorphism(lambda x: r_inv * x * r, name=name)
-
     def apply(self, x):
         return self._fn(x)
 

@@ -100,6 +100,14 @@ class _Level:
         self.inv = {}
         self.swept = 0  # generators the level had when its last sweep finished
 
+    def u(self, beta):
+        """u_beta, with point^u_beta = beta, for beta in the orbit."""
+        return self.transversal[beta]
+
+    def u_inv(self, beta):
+        """u_beta^-1, or None when beta is off the orbit."""
+        return self.inv.get(beta)
+
     def recompute_orbit(self, degree):
         """Rebuild the Schreier tree; return the points whose tree path is unchanged,
         which keep their u_x and u_x^-1."""

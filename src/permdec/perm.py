@@ -72,9 +72,6 @@ class Permutation:
                 return i
         return None
 
-    def support(self):
-        return tuple(i for i, v in enumerate(self.images) if i != v)
-
     def order(self):
         out = 1
         for cycle in self.cycles():
@@ -177,10 +174,6 @@ class Partition:
         object.__setattr__(self, "degree", n)
 
     @staticmethod
-    def discrete(n):
-        return Partition([(i,) for i in range(n)], degree=n)
-
-    @staticmethod
     def single(n):
         return Partition([range(n)], degree=n)
 
@@ -190,9 +183,6 @@ class Partition:
 
     def block_sizes(self):
         return tuple(len(b) for b in self.blocks)
-
-    def is_uniform(self):
-        return len(set(self.block_sizes())) <= 1
 
     def is_trivial(self):
         """True for the one-block partition and the all-singletons partition."""

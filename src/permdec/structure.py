@@ -5,9 +5,9 @@ conjugator share one backtrack kernel (Butler, LNCS 559; Seress,
 *Permutation Group Algorithms*, ch. 9). It runs over the base images of
 the searched group's stabiliser chain: a node fixes the images of the
 first base points, and the property prunes each candidate image (for the
-intersection and the coset search an exact coset walker on the other
-group's chain on a matching base, from ``chain_with_base``) and tests
-each leaf.
+intersection and the coset search the coset property, x * v in the other
+group, read off its chain on a matching base from ``chain_with_base``)
+and tests each leaf.
 
 The conjugacy property, x with h^x = k for pairs (h, k) of equal order,
 prunes by orbits (Leon 1991): x maps each h-orbit onto a k-orbit of the
@@ -91,35 +91,6 @@ def prime_divisors(n):
     return tuple(out)
 
 
-# --- coset walker -----------------------------------------------------------
-#
-# Tracks the solution set {x in K : x(q_j) = c_j for all processed
-# constraints} as a right coset H_level * w of K's stabiliser chain, where
-# the chain base follows the constraint points in order. Only w^-1 is kept:
-# it is all that constrain reads.
-
-
-class _Walker:
-    __slots__ = ("chain", "level", "w_inv")
-
-    def __init__(self, chain, level=0, w_inv=None):
-        self.chain = chain
-        self.level = level
-        self.w_inv = Permutation.identity(chain.degree) if w_inv is None else w_inv
-
-    def constrain(self, q, c):
-        """Child walker after adding x(q) = c, or None if no x remains."""
-        target = self.w_inv.images[c]
-        if self.level < len(self.chain.levels):
-            lv = self.chain.levels[self.level]
-            check(lv.point == q, "chain base out of step with constraints")
-            if target not in lv.transversal:
-                return None
-            w_inv = self.w_inv if target == q else self.w_inv * lv.inv[target]
-            return _Walker(self.chain, self.level + 1, w_inv)
-        return self if target == q else None
-
-
 # --- backtrack kernel -------------------------------------------------------
 
 
@@ -169,7 +140,7 @@ class _Backtrack:
             else:
                 stack.pop()
                 continue
-            g = partial if beta == lv.point else lv.transversal[beta] * partial
+            g = partial if beta == lv.point else lv.u(beta) * partial
             if level + 1 < len(levels):
                 stack.append((level + 1, g, child, iter(levels[level + 1].orbit)))
             elif self.leaf(g):
@@ -193,7 +164,7 @@ class _Backtrack:
                     continue
                 self._tick()
                 child = self.refine(fixing[i], lv.point, beta)
-                hit = None if child is None else self.first_hit(i + 1, lv.transversal[beta], child)
+                hit = None if child is None else self.first_hit(i + 1, lv.u(beta), child)
                 if hit is None:
                     dead.update(orbit(beta, gens, on_points))
                 else:
@@ -211,15 +182,33 @@ class _Backtrack:
 # --- intersection -----------------------------------------------------------
 
 
+def _in_coset(chain, v):
+    """refine, leaf and root state for x with x * v in the chain's group, whose base
+    follows the searched one. The state (level, w^-1) holds the x left as H_level * w."""
+
+    def refine(state, point, image):
+        level, w_inv = state
+        target = w_inv.images[v.images[image]]
+        if level == len(chain.levels):
+            return state if target == point else None
+        lv = chain.levels[level]
+        check(lv.point == point, "chain base out of step with constraints")
+        u_inv = lv.u_inv(target)
+        if u_inv is None:
+            return None
+        return level + 1, w_inv if target == point else w_inv * u_inv
+
+    return refine, lambda x: chain.contains(x * v), (0, Permutation.identity(chain.degree))
+
+
 def intersect(a, b):
     """a ∩ b by backtrack over the smaller group's chain; if a <= b the search finds a."""
     if a.degree != b.degree:
         raise DegreeMismatch(f"degrees {a.degree} and {b.degree} differ")
     if b.order() < a.order():
         a, b = b, a
-    chain_b = b.chain_with_base(a.chain.base)
-    search = _Backtrack(a.chain, _Walker.constrain, chain_b.contains, "intersection")
-    return search.subgroup(_Walker(chain_b))
+    refine, leaf, root = _in_coset(b.chain_with_base(a.chain.base), a.identity)
+    return _Backtrack(a.chain, refine, leaf, "intersection").subgroup(root)
 
 
 # --- setwise stabiliser -----------------------------------------------------
@@ -247,10 +236,8 @@ def setwise_stabiliser(g, block):
 
 def _find_in_coset(s_group, k_group, v):
     """Some s in s_group with s*v in k_group, or None."""
-    chain_k = k_group.chain_with_base(s_group.chain.base)
-    search = _Backtrack(s_group.chain, lambda walker, q, c: walker.constrain(q, v.images[c]),
-                        lambda s: chain_k.contains(s * v), "coset")
-    return search.first_hit(0, s_group.identity, _Walker(chain_k))
+    refine, leaf, root = _in_coset(k_group.chain_with_base(s_group.chain.base), v)
+    return _Backtrack(s_group.chain, refine, leaf, "coset").first_hit(0, s_group.identity, root)
 
 
 def coset_intersection(terms):
@@ -476,7 +463,7 @@ class CosetAction:
         for lv in self.subgroup.chain.levels:
             beta = min(lv.orbit, key=z.__getitem__)
             if beta != lv.point:
-                z = compose(lv.transversal[beta].images, z)
+                z = compose(lv.u(beta).images, z)
         return z
 
     @property
@@ -491,9 +478,6 @@ class CosetAction:
             return Permutation([self._index[self._canon(compose(r.images, p.images))] for r in self.reps])
         except KeyError:
             raise NotSubgroup("element is not in the group") from None
-
-    def map_subgroup(self, h, name=None):
-        return PermGroup([self.act(x) for x in h.generators], degree=self.degree, name=name)
 
     def is_faithful(self):
         return self.image.order() == self.group.order()

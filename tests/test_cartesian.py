@@ -193,7 +193,7 @@ def test_invalid_system_raises(klein):
 def test_trivial_decomposition_round_trips(klein):
     # the discrete partition alone is the index-1 decomposition; its system
     # is {M_w}, and the intersection of no other subgroups is M itself
-    e = CartesianDecomposition([Partition.discrete(4)])
+    e = CartesianDecomposition([Partition([(i,) for i in range(4)])])
     assert validate_decomposition(e).valid
     system = to_system(klein, e, 0)
     assert system.index == 1 and system.subgroups[0].is_trivial()

@@ -212,6 +212,16 @@ def test_budget_parsed_where_read():
         assert parser.parse_args(argv + ["--budget", "5"]).budget == 5
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "--group", "s4"], ["wreath", "wr:2^2"],
+                                  ["atlas", "verify", "A6_36"], ["corpus"]],
+                         ids=["enumerate", "wreath", "atlas", "corpus"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_json_error(capsys, files, argv, budget):
+    code, data = invoke(capsys, [files.get(a, a) for a in argv] + ["--budget", budget])
+    assert code == 1
+    assert data["error"] == "InvalidInput" and "--budget" in data["message"]
+
+
 def test_atlas_unknown(capsys):
     code, data = invoke(capsys, ["atlas", "verify", "NOPE"])
     assert code == 1 and data["error"] == "UnknownCase"
@@ -309,23 +319,48 @@ def test_bad_case_file_is_a_json_error(capsys, tmp_path, argv, drop):
     assert data["error"] == "InvalidInput" and data["message"]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda r: r.pop("group"),
-    lambda r: r.pop("subgroups"),
-    lambda r: r.pop("expected"),
-    lambda r: r["expected"].pop("T_order"),
-    lambda r: r["expected"]["subgroup_orders"].pop("K2"),
-    lambda r: r.update(subgroups=list(r["subgroups"].values())),
+def _relabel(record, old, new):
+    for labels in (record["subgroups"], record["expected"]["subgroup_orders"]):
+        labels[new] = labels.pop(old)
+
+
+@pytest.mark.parametrize("case,edit", [
+    ("KLEIN_GRID", lambda r: r.pop("group")),
+    ("KLEIN_GRID", lambda r: r.pop("subgroups")),
+    ("KLEIN_GRID", lambda r: r.pop("expected")),
+    ("KLEIN_GRID", lambda r: r["expected"].pop("T_order")),
+    ("KLEIN_GRID", lambda r: r["expected"]["subgroup_orders"].pop("K2")),
+    ("KLEIN_GRID", lambda r: r.update(subgroups=list(r["subgroups"].values()))),
+    ("A6_36", lambda r: _relabel(r, "A", "C")),
+    ("A6_36", lambda r: _relabel(r, "B", "C")),
 ], ids=["no group", "no subgroups", "no expected", "no T_order", "no subgroup order",
-        "subgroups not an object"])
-def test_case_file_without_a_field_is_a_json_error(capsys, tmp_path, edit):
+        "subgroups not an object", "coset case without A", "coset case without B"])
+def test_case_file_without_a_field_is_a_json_error(capsys, tmp_path, case, edit):
     (tmp_path / "cases").mkdir()
-    record = json.loads((DEFAULT_DATA_DIR / "cases" / "KLEIN_GRID.json").read_text())
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / f"{case}.json").read_text())
     edit(record)
-    (tmp_path / "cases" / "KLEIN_GRID.json").write_text(json.dumps(record))
-    code, data = invoke(capsys, ["atlas", "verify", "KLEIN_GRID", "--data-dir", str(tmp_path)])
+    (tmp_path / "cases" / f"{case}.json").write_text(json.dumps(record))
+    code, data = invoke(capsys, ["atlas", "verify", case, "--data-dir", str(tmp_path)])
     assert code == 1
     assert data["error"] == "InvalidInput" and data["message"]
+
+
+@pytest.mark.parametrize("argv", [["atlas", "verify", "A6_36"], ["corpus"]],
+                         ids=["atlas verify", "corpus"])
+def test_coset_case_without_a_decomposition_fails_its_rows(capsys, tmp_path, argv):
+    # with B = A the coset space is A6 on 6 points, which has no Cartesian decomposition;
+    # A6 = AA fails, so the factorisation rows, which raise on it, are switched off
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / "A6_36.json").read_text())
+    record["subgroups"]["B"] = record["subgroups"]["A"]
+    del record["outer_automorphism"], record["expected"]["full_factorisation"]
+    record["expected"].update(intersection_order=60, omega_size=6)
+    (tmp_path / "cases" / "A6_36.json").write_text(json.dumps(record))
+    code, data = invoke(capsys, argv + ["--data-dir", str(tmp_path)])
+    assert code == 1
+    [report] = [r for r in data.get("results", [data]) if r["case"] == "A6_36"]
+    assert not report["ok"] and "cd_count" in report["failures"]
+    assert "index" not in {c["check"] for c in report["checks"]}
 
 
 # the expected values each construction's verification compares against

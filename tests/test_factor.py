@@ -379,7 +379,7 @@ def test_equivalence_pair_search_matches_enumeration():
         y, z, r = (s6.random_element(rng) for _ in range(3))
         pair2 = (PermGroup([s.conjugate_by(y) for s in s5.generators]),
                  PermGroup([s.conjugate_by(z) for s in x.generators]))
-        beta = Automorphism.from_relabelling(r)
+        beta = Automorphism(lambda p: p.conjugate_by(r))
         first, second = beta.apply_group(s5), beta.apply_group(c6)
         want = any(set(conjugates(s6, first, ta)) & set(conjugates(s6, second, tb))
                    for ta, tb in (pair2, pair2[::-1]))
@@ -393,7 +393,7 @@ def test_relabelling_automorphism(s4):
     s3 = PermGroup([C(4, [(0, 1, 2)]), C(4, [(0, 1)])])
     c4 = PermGroup([C(4, [(0, 1, 2, 3)])])
     r = C(4, [(0, 3)])
-    beta = Automorphism.from_relabelling(r)
+    beta = Automorphism(lambda x: x.conjugate_by(r))
     assert equivalent_factorisations(s4, (s3, c4), (beta.apply_group(s3), c4), [beta])
 
 

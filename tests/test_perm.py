@@ -44,7 +44,6 @@ def test_cycles_and_order():
     p = C(6, [(0, 1, 2), (3, 4)])
     assert p.cycles() == [(0, 1, 2), (3, 4)]
     assert p.order() == 6
-    assert p.support() == (0, 1, 2, 3, 4)
     assert p.first_moved() == 0
     assert Permutation.identity(4).first_moved() is None
 
@@ -75,10 +74,9 @@ def test_partition_canonical_form():
     assert p.blocks == ((0, 1), (2, 3))
     assert p == Partition([(0, 1), (2, 3)])
     assert p.block_sizes() == (2, 2)
-    assert p.is_uniform()
     assert not p.is_trivial()
     assert Partition.single(4).is_trivial()
-    assert Partition.discrete(4).is_trivial()
+    assert Partition([(i,) for i in range(4)]).is_trivial()
 
 
 def test_partition_validates_cover():

@@ -287,6 +287,18 @@ def test_structure_raises_no_assertion_errors():
     assert found == []
 
 
+def test_only_group_reads_level_storage():
+    # a level's transversal format sits behind _Level.u and _Level.u_inv
+    found = []
+    for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in {"transversal", "inv", "tree", "swept"}:
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_coset_intersection_of_no_cosets_is_invalid_input():
     with pytest.raises(InvalidInput) as info:
         coset_intersection([])
@@ -460,7 +472,7 @@ def test_coset_action_maps_subgroups(a6):
     b = PermGroup([C(6, [(0, 1, 2, 3, 4)]), C(6, [(0, 5), (1, 4)])])
     action = CosetAction(a6, b)
     assert action.degree == 6
-    img = action.map_subgroup(a6)
+    img = PermGroup([action.act(x) for x in a6.generators], degree=action.degree)
     assert img.order() == 360
 
 
