@@ -14,11 +14,14 @@ One sweep is enough: level i's generators and orbit stay fixed during it
 or whose residue was added, lies in the group of the completed levels
 below, which only grows. A level the residue missed keeps its generators,
 as does every level below it, so it stays complete. Sweeps sit on an
-explicit stack, and sifting works on image tuples. A sift or Schreier
-generator skips each level whose base point it already fixes, as the
-transversal element there is the identity; inverse transversal elements are
-built along the Schreier tree from the inverses of the tree's generators.
-A sift stops once its residue is the identity.
+explicit stack. A level keeps u_x as a ``Permutation`` and u_x^-1 packed
+(``perm.pack``): a 256-byte table up to 256 points, where a product is one
+``bytes.translate``, and the image tuple above. Sifts and Schreier
+generators run on packed images. A sift or Schreier generator skips each
+level whose base point it already fixes, as the transversal element there
+is the identity; inverse transversal elements are built along the Schreier
+tree from the inverses of the tree's generators. A sift stops once its
+residue is the identity.
 
 A re-sweep is incremental. Each level keeps its Schreier tree, and a new
 tree reuses u_x and u_x^-1 for each point x whose tree edge and every
@@ -27,8 +30,11 @@ how many generators the level had. A later sweep skips the pair (beta, s)
 when s was one of those and both beta and beta^s are kept: its Schreier
 generator is the very element the last finished sweep sifted, so it lies in
 the group of the levels below, which were complete then and have only grown
-since. Sifting it would give the identity and add nothing, so every chain is
-the one a sweep over all pairs builds.
+since. A sweep also skips the pair (b_i, s) when s fixes b_i, the level's
+point: its Schreier generator is s itself, which _add_gen put on level i + 1
+too, and the levels below are complete while level i sweeps. Sifting either
+kind of pair would give the identity and add nothing, so every chain is the
+one a sweep over all pairs builds.
 
 ``_Chain.extend`` re-sweeps only the levels a new generator touches; only
 ``group_from_generators`` and ``normal_closure`` extend, each a chain it
@@ -49,7 +55,7 @@ from __future__ import annotations
 import copy
 
 from .errors import DegreeMismatch, InvalidInput, NotTransitive, PointOutOfRange
-from .perm import Permutation, compose
+from .perm import Permutation, compose, pack
 
 
 def check_points(degree, points):
@@ -106,11 +112,12 @@ class _Level:
 
     def u_inv(self, beta):
         """u_beta^-1, or None when beta is off the orbit."""
-        return self.inv.get(beta)
+        images = self.inv.get(beta)
+        return None if images is None else Permutation._unchecked(images[:len(self.u(beta).images)])
 
     def recompute_orbit(self, degree):
         """Rebuild the Schreier tree; return the points whose tree path is unchanged,
-        which keep their u_x and u_x^-1."""
+        which keep their u_x and packed u_x^-1."""
         old_tree, old_u, old_inv = self.tree, self.transversal, self.inv
         self.tree = tree = orbit(self.point, self.gens, on_points)
         self.orbit = list(tree)
@@ -120,15 +127,15 @@ class _Level:
         s_inv = {}  # the inverses of the tree's generators, keyed by identity
         for x, edge in tree.items():  # each parent comes before its children
             if edge is None:
-                u[x] = inv[x] = Permutation.identity(degree)
+                u[x], inv[x] = Permutation.identity(degree), pack(range(degree))
             elif edge[0] in kept and old_tree.get(x) == edge:
                 u[x], inv[x] = old_u[x], old_inv[x]
             else:
                 parent, s = edge
                 if id(s) not in s_inv:
-                    s_inv[id(s)] = s.inverse()
+                    s_inv[id(s)] = pack(s.inverse().images)
                 u[x] = u[parent] * s
-                inv[x] = s_inv[id(s)] * inv[parent]  # u_x^-1 = s^-1 * u_parent^-1
+                inv[x] = compose(s_inv[id(s)], inv[parent])  # u_x^-1 = s^-1 * u_parent^-1
                 continue
             kept.add(x)
         return kept
@@ -142,7 +149,7 @@ class _Chain:
         self.degree = degree
         self.levels = []
         self._hint = list(base_hint)
-        self._identity = tuple(range(degree))
+        self._identity = pack(range(degree))
         for g in generators:
             if not g.is_identity():
                 self._add_gen(g, 0)
@@ -184,7 +191,7 @@ class _Chain:
         return True
 
     def _strip_images(self, g, start=0):
-        """Sift image tuple g through levels[start:]; returns the residue's images."""
+        """Sift packed images g through levels[start:]; returns the residue's packed images."""
         identity = self._identity
         for level in self.levels[start:]:
             beta = g[level.point]
@@ -192,7 +199,7 @@ class _Chain:
                 u_inv = level.inv.get(beta)
                 if u_inv is None:
                     return g
-                g = compose(g, u_inv.images)
+                g = compose(g, u_inv)
                 if g == identity:
                     return g
         return g
@@ -210,29 +217,29 @@ class _Chain:
     def _sweep(self, i):
         """Sift level i's Schreier generators; yield the levels each residue is added to.
 
-        The pair (beta, s) is skipped when s is one of the generators the last
-        finished sweep had and beta and beta^s are kept: it was sifted then."""
+        The pair (beta, s) is skipped when s fixes beta = point, or when s is one of
+        the last finished sweep's generators and beta and beta^s are kept."""
         level = self.levels[i]
         swept, level.swept = level.swept, 0  # an unfinished sweep leaves nothing to skip
         kept = level.recompute_orbit(self.degree)
-        gens = [s.images for s in level.gens]
+        gens = [pack(s.images) for s in level.gens]
         identity = self._identity
         point = level.point
         for beta in level.orbit:
-            u = level.transversal[beta].images
+            u = pack(level.transversal[beta].images)
             sifted = swept if beta in kept else 0  # pairs the last sweep sifted
             for j, s in enumerate(gens):  # u_point is the identity
                 gamma = s[beta]
-                if j < sifted and gamma in kept:
+                if j < sifted and gamma in kept or gamma == beta == point:
                     continue
                 sg = s if beta == point else compose(u, s)
                 if gamma != point:
-                    sg = compose(sg, level.inv[gamma].images)
+                    sg = compose(sg, level.inv[gamma])
                 if sg == identity:
                     continue
                 residue = self._strip_images(sg, i + 1)
                 if residue != identity:
-                    yield self._add_gen(Permutation._unchecked(residue), i + 1)
+                    yield self._add_gen(Permutation._unchecked(residue[:self.degree]), i + 1)
         level.swept = len(gens)
 
     def order(self):
@@ -244,7 +251,7 @@ class _Chain:
     def contains(self, g):
         if g.degree != self.degree:
             raise DegreeMismatch(f"degrees {g.degree} and {self.degree} differ")
-        return self._strip_images(g.images) == self._identity
+        return self._strip_images(pack(g.images)) == self._identity
 
     def elements(self):
         """All group elements, deterministic order; at most one product per element."""

@@ -11,6 +11,8 @@ from operator import itemgetter
 
 from .errors import DegreeMismatch, InvalidInput, NonBijection, PointOutOfRange, check
 
+_TABLE = bytes(range(256))  # the identity table
+
 
 class Permutation:
     """An immutable permutation stored as its image tuple."""
@@ -144,8 +146,17 @@ class Permutation:
         return f"Permutation[{text}]"
 
 
+def pack(images):
+    """Images packed for the chain kernel: at degree n <= 256 a 256-byte table fixing
+    n..255, whose products are one ``bytes.translate``; above 256 the image tuple."""
+    return bytes(images) + _TABLE[len(images):] if len(images) <= 256 else tuple(images)
+
+
 def compose(a, b):
-    """Images of a * b, ``b[a[x]]`` for each x; degree < 2 means a is the identity."""
+    """Images of a * b, ``b[a[x]]`` for each x, for two tables or two image tuples;
+    an image tuple of degree < 2 is the identity."""
+    if type(a) is bytes:
+        return a.translate(b)
     if len(a) < 2:
         return b
     return itemgetter(*a)(b)

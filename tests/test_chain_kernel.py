@@ -130,7 +130,7 @@ def _assert_inverse_transversals(chain):
         assert lv.transversal[lv.point].is_identity()
         assert set(lv.inv) == set(lv.transversal) == set(lv.orbit)
         for x in lv.orbit:
-            assert lv.inv[x] == lv.transversal[x].inverse()
+            assert lv.u_inv(x) == lv.transversal[x].inverse()
 
 
 @pytest.mark.parametrize("make", [p[1] for p in PINNED], ids=[p[0] for p in PINNED])
@@ -523,3 +523,39 @@ def test_product_degree_mismatch(m, n):
         Permutation.identity(m) * Permutation.identity(n)
     with pytest.raises(DegreeMismatch):
         PermGroup((), degree=n).contains(Permutation.identity(m))
+
+
+# --- packed images and image tuples -------------------------------------------------
+
+
+def _affine_256(pad):
+    """<x -> x + 1, x -> 3x> on Z/256, of order 256 * 64, with pad fixed points after 255."""
+    return PermGroup([
+        Permutation([(x + 1) % 256 for x in range(256)] + list(range(256, 256 + pad))),
+        Permutation([3 * x % 256 for x in range(256)] + list(range(256, 256 + pad))),
+    ])
+
+
+def test_chain_above_256_points_is_the_packed_one():
+    # up to 256 points a level stores u_x^-1 as a 256-byte table, above 256 as
+    # the image tuple; fixed points padded past 255 change neither the chain nor membership
+    small, padded = _affine_256(0), _affine_256(4)
+    assert small.order() == padded.order() == 256 * 64
+    assert small.base == padded.base
+    for lv, lw in zip(small.chain.levels, padded.chain.levels, strict=True):
+        assert type(lv.inv[lv.point]) is bytes and type(lw.inv[lw.point]) is tuple
+        assert lv.orbit == lw.orbit
+        for x in lv.orbit:
+            assert lv.u(x).images == lw.u(x).images[:256]
+            assert lv.u_inv(x).images == lw.u_inv(x).images[:256]
+    _assert_inverse_transversals(small.chain)
+    _assert_inverse_transversals(padded.chain)
+
+    rng = random.Random(256)
+    queries = [small.random_element(rng).images for _ in range(20)]
+    queries += [[5 * x % 256 for x in range(256)]]  # 5 is not a power of 3 mod 256
+    queries += [rng.sample(range(256), 256) for _ in range(20)]
+    answers = [small.contains(Permutation(q)) for q in queries]
+    assert answers == [padded.contains(Permutation([*q, 256, 257, 258, 259])) for q in queries]
+    assert answers == [True] * 20 + [False] * 21
+    assert not padded.contains(C(260, [(255, 256)]))

@@ -345,6 +345,43 @@ def test_case_file_without_a_field_is_a_json_error(capsys, tmp_path, case, edit)
     assert data["error"] == "InvalidInput" and data["message"]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda r: r["subgroups"].update(C=r["subgroups"].pop("A")),
+    lambda r: _relabel(r, "A", "C"),
+], ids=["subgroup relabelled", "subgroup and its order relabelled"])
+def test_case_file_error_names_the_case_and_its_file(capsys, tmp_path, edit):
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / "A6_36.json").read_text())
+    edit(record)
+    path = tmp_path / "cases" / "A6_36.json"
+    path.write_text(json.dumps(record))
+    code, data = invoke(capsys, ["atlas", "verify", "A6_36", "--data-dir", str(tmp_path)])
+    assert code == 1 and data["error"] == "InvalidInput"
+    assert data["message"].startswith(f"case A6_36 ({path}): expected an object with A, B, got ")
+
+
+@pytest.mark.parametrize("drop", [("outer_automorphism",), (), ("full_factorisation",)],
+                         ids=["no outer automorphism", "outer automorphism",
+                              "outer automorphism only"])
+def test_coset_case_that_is_not_a_factorisation_fails_its_row(capsys, tmp_path, drop):
+    # with B = A, T = AB fails; the rows that presume it are left out, so the
+    # report keeps its other rows instead of ending in a NotFactorisation error
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / "A6_36.json").read_text())
+    record["subgroups"]["B"] = record["subgroups"]["A"]
+    for key in drop:
+        record.pop(key, None)
+        record["expected"].pop(key, None)
+    (tmp_path / "cases" / "A6_36.json").write_text(json.dumps(record))
+    code, data = invoke(capsys, ["atlas", "verify", "A6_36", "--data-dir", str(tmp_path)])
+    assert code == 1 and "error" not in data
+    assert {"intersection_order", "cd_count", "full_factorisation"} <= set(data["failures"])
+    checks = {c["check"] for c in data["checks"]}
+    assert {"T_order", "round_trip"} <= checks
+    assert not checks & {"conjugation_transitivity", "self_normalising_intersection",
+                         "outer_automorphism_swaps_classes", "pair_equivalent_under_theta"}
+
+
 @pytest.mark.parametrize("argv", [["atlas", "verify", "A6_36"], ["corpus"]],
                          ids=["atlas verify", "corpus"])
 def test_coset_case_without_a_decomposition_fails_its_rows(capsys, tmp_path, argv):

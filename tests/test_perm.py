@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from permdec import (
@@ -7,6 +9,8 @@ from permdec import (
     Permutation,
     PointOutOfRange,
 )
+
+from permdec.perm import compose, pack
 
 C = Permutation.from_cycles
 
@@ -92,3 +96,15 @@ def test_partition_apply():
     assert p.apply(g) == Partition([[0, 2], [1, 3]])
     assert p.block_containing(2) == (2, 3)
     assert p.block_index_of() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257])
+def test_packed_product_is_the_tuple_product(n):
+    # up to 256 points pack gives a table fixing n..255, above it the image tuple
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = rng.sample(range(n), n), rng.sample(range(n), n)
+        got = compose(pack(a), pack(b))
+        assert type(got) is (bytes if n <= 256 else tuple)
+        assert tuple(got[:n]) == (Permutation(a) * Permutation(b)).images
+        assert tuple(got[n:]) == tuple(range(n, 256))
