@@ -14,14 +14,17 @@ One sweep is enough: level i's generators and orbit stay fixed during it
 or whose residue was added, lies in the group of the completed levels
 below, which only grows. A level the residue missed keeps its generators,
 as does every level below it, so it stays complete. Sweeps sit on an
-explicit stack. A level keeps u_x as a ``Permutation`` and u_x^-1 packed
-(``perm.pack``): a 256-byte table up to 256 points, where a product is one
-``bytes.translate``, and the image tuple above. Sifts and Schreier
-generators run on packed images. A sift or Schreier generator skips each
+explicit stack. The kernel keeps packed images in two forms. A table
+(``perm.pack``, 256 bytes up to 256 points) is kept for what acts from the
+right: u_x^-1 and each generator and its inverse. An element
+(``perm.pack_element``, n bytes) is kept for what is acted on: u_x, Schreier
+generators, sift residues and ``contains`` queries. So a product, bound once
+per chain by degree (``perm.product``), is one ``bytes.translate`` over n
+bytes; above 256 points both forms are the image tuple. u_x and u_x^-1 are
+built along the Schreier tree, u_x as the ``Permutation`` u_parent * s, which
+the level keeps and packs once. A sift or Schreier generator skips each
 level whose base point it already fixes, as the transversal element there
-is the identity; inverse transversal elements are built along the Schreier
-tree from the inverses of the tree's generators. A sift stops once its
-residue is the identity.
+is the identity. A sift stops once its residue is the identity.
 
 A re-sweep is incremental. Each level keeps its Schreier tree, and a new
 tree reuses u_x and u_x^-1 for each point x whose tree edge and every
@@ -55,7 +58,7 @@ from __future__ import annotations
 import copy
 
 from .errors import DegreeMismatch, InvalidInput, NotTransitive, PointOutOfRange
-from .perm import Permutation, compose, pack
+from .perm import Permutation, pack, pack_element, product
 
 
 def check_points(degree, points):
@@ -95,15 +98,17 @@ def transversal(tree, identity):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "tree", "transversal", "inv", "swept")
+    __slots__ = ("point", "gens", "tables", "orbit", "tree", "transversal", "packed", "inv", "swept")
 
     def __init__(self, point):
         self.point = point
         self.gens = []
+        self.tables = []  # (table, inverse table) of each generator
         self.orbit = [point]
         self.tree = {}
         self.transversal = {}
-        self.inv = {}
+        self.packed = {}  # u_x as elements
+        self.inv = {}  # u_x^-1 as tables
         self.swept = 0  # generators the level had when its last sweep finished
 
     def u(self, beta):
@@ -113,29 +118,31 @@ class _Level:
     def u_inv(self, beta):
         """u_beta^-1, or None when beta is off the orbit."""
         images = self.inv.get(beta)
-        return None if images is None else Permutation._unchecked(images[:len(self.u(beta).images)])
+        return None if images is None else Permutation._unchecked(images[:len(self.packed[beta])])
 
-    def recompute_orbit(self, degree):
+    def recompute_orbit(self, chain):
         """Rebuild the Schreier tree; return the points whose tree path is unchanged,
-        which keep their u_x and packed u_x^-1."""
-        old_tree, old_u, old_inv = self.tree, self.transversal, self.inv
-        self.tree = tree = orbit(self.point, self.gens, on_points)
+        which keep their u_x and u_x^-1."""
+        old_tree, old_u, old_packed, old_inv = self.tree, self.transversal, self.packed, self.inv
+        self.tree = tree = orbit(self.point, list(zip(self.gens, self.tables)),
+                                 lambda x, s: s[1][0][x])
         self.orbit = list(tree)
         self.transversal = u = {}
+        self.packed = packed = {}
         self.inv = inv = {}
         kept = set()
-        s_inv = {}  # the inverses of the tree's generators, keyed by identity
+        mul = chain.mul
         for x, edge in tree.items():  # each parent comes before its children
             if edge is None:
-                u[x], inv[x] = Permutation.identity(degree), pack(range(degree))
+                u[x] = Permutation.identity(chain.degree)
+                packed[x], inv[x] = chain.identity, chain.identity_table
             elif edge[0] in kept and old_tree.get(x) == edge:
-                u[x], inv[x] = old_u[x], old_inv[x]
+                u[x], packed[x], inv[x] = old_u[x], old_packed[x], old_inv[x]
             else:
-                parent, s = edge
-                if id(s) not in s_inv:
-                    s_inv[id(s)] = pack(s.inverse().images)
+                parent, (s, (_, s_inv)) = edge
                 u[x] = u[parent] * s
-                inv[x] = compose(s_inv[id(s)], inv[parent])  # u_x^-1 = s^-1 * u_parent^-1
+                packed[x] = pack_element(u[x].images)
+                inv[x] = mul(s_inv, inv[parent])  # u_x^-1 = s^-1 * u_parent^-1
                 continue
             kept.add(x)
         return kept
@@ -149,13 +156,15 @@ class _Chain:
         self.degree = degree
         self.levels = []
         self._hint = list(base_hint)
-        self._identity = pack(range(degree))
+        self.mul = product(degree)
+        self.identity = pack_element(range(degree))
+        self.identity_table = pack(range(degree))
         for g in generators:
             if not g.is_identity():
                 self._add_gen(g, 0)
         if order is not None:
             for level in self.levels:
-                level.recompute_orbit(degree)
+                level.recompute_orbit(self)
             if self.order() == order:
                 return
         self._complete(range(len(self.levels)))
@@ -173,11 +182,13 @@ class _Chain:
 
     def _add_gen(self, g, start):
         """Append g to levels start..k, k the first whose point g moves; return that range."""
+        tables = pack(g.images), pack(g.inverse().images)
         k = start
         while True:
             if k == len(self.levels):
                 self.levels.append(_Level(self._new_level_point(g)))
             self.levels[k].gens.append(g)
+            self.levels[k].tables.append(tables)
             if g.images[self.levels[k].point] != self.levels[k].point:
                 return range(start, k + 1)
             k += 1
@@ -191,15 +202,16 @@ class _Chain:
         return True
 
     def _strip_images(self, g, start=0):
-        """Sift packed images g through levels[start:]; returns the residue's packed images."""
-        identity = self._identity
-        for level in self.levels[start:]:
+        """Sift the packed element g through levels start onward; return the residue."""
+        levels, mul, identity = self.levels, self.mul, self.identity
+        for i in range(start, len(levels)):
+            level = levels[i]
             beta = g[level.point]
             if beta != level.point:  # else u_beta is the identity
                 u_inv = level.inv.get(beta)
                 if u_inv is None:
                     return g
-                g = compose(g, u_inv)
+                g = mul(g, u_inv)
                 if g == identity:
                     return g
         return g
@@ -221,25 +233,25 @@ class _Chain:
         the last finished sweep's generators and beta and beta^s are kept."""
         level = self.levels[i]
         swept, level.swept = level.swept, 0  # an unfinished sweep leaves nothing to skip
-        kept = level.recompute_orbit(self.degree)
-        gens = [pack(s.images) for s in level.gens]
-        identity = self._identity
+        kept = level.recompute_orbit(self)
+        gens = [s for s, _ in level.tables]
+        mul, identity, n = self.mul, self.identity, self.degree
         point = level.point
         for beta in level.orbit:
-            u = pack(level.transversal[beta].images)
+            u = level.packed[beta]
             sifted = swept if beta in kept else 0  # pairs the last sweep sifted
             for j, s in enumerate(gens):  # u_point is the identity
                 gamma = s[beta]
                 if j < sifted and gamma in kept or gamma == beta == point:
                     continue
-                sg = s if beta == point else compose(u, s)
+                sg = s[:n] if beta == point else mul(u, s)
                 if gamma != point:
-                    sg = compose(sg, level.inv[gamma])
+                    sg = mul(sg, level.inv[gamma])
                 if sg == identity:
                     continue
                 residue = self._strip_images(sg, i + 1)
                 if residue != identity:
-                    yield self._add_gen(Permutation._unchecked(residue[:self.degree]), i + 1)
+                    yield self._add_gen(Permutation._unchecked(residue), i + 1)
         level.swept = len(gens)
 
     def order(self):
@@ -251,13 +263,13 @@ class _Chain:
     def contains(self, g):
         if g.degree != self.degree:
             raise DegreeMismatch(f"degrees {g.degree} and {self.degree} differ")
-        return self._strip_images(pack(g.images)) == self._identity
+        return self._strip_images(pack_element(g.images)) == self.identity
 
     def elements(self):
         """All group elements, deterministic order; at most one product per element."""
         out = [Permutation.identity(self.degree)]
         for level in reversed(self.levels):
-            rest = [level.transversal[beta] for beta in level.orbit[1:]]
+            rest = [level.u(beta) for beta in level.orbit[1:]]
             out = [f for e in out for f in (e, *(e * u for u in rest))]
         return out
 
@@ -265,7 +277,7 @@ class _Chain:
         g = Permutation.identity(self.degree)
         for level in reversed(self.levels):
             beta = rng.choice(level.orbit)
-            g = g if beta == level.point else g * level.transversal[beta]
+            g = g if beta == level.point else g * level.u(beta)
         return g
 
 

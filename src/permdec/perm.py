@@ -24,7 +24,7 @@ class Permutation:
         n = len(images)
         seen = [False] * n
         for v in images:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+            if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise NonBijection(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[v] = True
         object.__setattr__(self, "images", images)
@@ -147,16 +147,27 @@ class Permutation:
 
 
 def pack(images):
-    """Images packed for the chain kernel: at degree n <= 256 a 256-byte table fixing
-    n..255, whose products are one ``bytes.translate``; above 256 the image tuple."""
+    """Images packed as a table, the right-hand operand of a chain-kernel product: at
+    degree n <= 256 a 256-byte table fixing n..255, above 256 the image tuple."""
     return bytes(images) + _TABLE[len(images):] if len(images) <= 256 else tuple(images)
 
 
+def pack_element(images):
+    """Images packed as an element, which a chain-kernel product acts on: n bytes at
+    degree n <= 256, the image tuple above."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
+def product(degree):
+    """The chain kernel's product at a degree: product(n)(a, b) is a * b in the form
+    of a, an element or a table, for b a table. Up to 256 points it is
+    ``bytes.translate``, whose cost grows with the length of a; above, ``compose``."""
+    return bytes.translate if degree <= 256 else compose
+
+
 def compose(a, b):
-    """Images of a * b, ``b[a[x]]`` for each x, for two tables or two image tuples;
-    an image tuple of degree < 2 is the identity."""
-    if type(a) is bytes:
-        return a.translate(b)
+    """Images of a * b, ``b[a[x]]`` for each x, for two image tuples; an image tuple
+    of degree < 2 is the identity."""
     if len(a) < 2:
         return b
     return itemgetter(*a)(b)
@@ -176,8 +187,8 @@ class Partition:
             norm = sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0] if b else -1)
             pts = [x for b in norm for x in b]
             n = degree if degree is not None else (max(pts) + 1 if pts else 0)
-            is_partition = sorted(pts) == list(range(n))
-        except TypeError:  # a block that is not a collection of integer points
+            is_partition = {*map(type, pts)} <= {int} and sorted(pts) == list(range(n))
+        except TypeError:  # a block that is not a collection of points
             is_partition = False
         if not is_partition:
             raise InvalidInput(f"blocks do not partition the points 0..n-1: {blocks!r}")

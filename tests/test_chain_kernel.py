@@ -36,7 +36,7 @@ def _fingerprint(chain):
             lv.point,
             [g.images for g in lv.gens],
             lv.orbit,
-            [lv.transversal[b].images for b in lv.orbit],
+            [lv.u(b).images for b in lv.orbit],
         )
         for lv in chain.levels
     ])
@@ -127,10 +127,11 @@ def test_chain_is_pinned(name, make, base, orbits, digest):
 
 def _assert_inverse_transversals(chain):
     for lv in chain.levels:
-        assert lv.transversal[lv.point].is_identity()
-        assert set(lv.inv) == set(lv.transversal) == set(lv.orbit)
+        assert lv.u(lv.point).is_identity()
+        assert set(lv.inv) == set(lv.packed) == set(lv.transversal) == set(lv.orbit)
         for x in lv.orbit:
-            assert lv.u_inv(x) == lv.transversal[x].inverse()
+            assert tuple(lv.packed[x]) == lv.u(x).images
+            assert lv.u_inv(x) == lv.u(x).inverse()
 
 
 @pytest.mark.parametrize("make", [p[1] for p in PINNED], ids=[p[0] for p in PINNED])
@@ -164,14 +165,22 @@ def test_chain_depth_does_not_grow_the_call_stack():
 
 
 def _count_products(monkeypatch):
+    """Count the packed products of every chain built from now on (Schreier
+    generators, sifts and u_x^-1): each chain binds the product
+    ``group.product`` gives for its degree."""
     calls = [0]
-    original = group_module.compose
+    original = group_module.product
 
-    def counted(a, b):
-        calls[0] += 1
-        return original(a, b)
+    def counted_product(degree):
+        mul = original(degree)
 
-    monkeypatch.setattr(group_module, "compose", counted)
+        def counted(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        return counted
+
+    monkeypatch.setattr(group_module, "product", counted_product)
     return calls
 
 
@@ -191,7 +200,7 @@ def test_pair_swap_chains_grow_quadratically(monkeypatch):
     member = C(128, [(2 * i, 2 * i + 1) for i in swapped])
     before = calls[0]
     assert group.contains(member)
-    assert calls[0] - before <= len(swapped)
+    assert calls[0] - before == len(swapped)
 
 
 def test_relabelled_s16_sifts_each_schreier_generator_once_per_level(monkeypatch):
@@ -238,9 +247,9 @@ def _every_pair_sifted(mp):
     recompute_orbit marks no point kept."""
     original = group_module._Level.recompute_orbit
 
-    def keep_none(level, degree):
+    def keep_none(level, chain):
         level.tree = {}  # no old tree path to reuse
-        original(level, degree)
+        original(level, chain)
         return set()
 
     mp.setattr(group_module._Level, "recompute_orbit", keep_none)
@@ -559,3 +568,14 @@ def test_chain_above_256_points_is_the_packed_one():
     assert answers == [padded.contains(Permutation([*q, 256, 257, 258, 259])) for q in queries]
     assert answers == [True] * 20 + [False] * 21
     assert not padded.contains(C(260, [(255, 256)]))
+
+    # <x -> x + 1, x -> 2x> on Z/255, of order 255 * 8, one point short of 256
+    below = PermGroup([Permutation([(x + 1) % 255 for x in range(255)]),
+                       Permutation([2 * x % 255 for x in range(255)])])
+    assert below.order() == 255 * 8
+    assert all(type(lv.inv[lv.point]) is bytes for lv in below.chain.levels)
+    _assert_inverse_transversals(below.chain)
+    queries = [below.random_element(rng) for _ in range(20)]
+    queries += [Permutation([7 * x % 255 for x in range(255)])]  # 7 is not a power of 2 mod 255
+    queries += [Permutation(rng.sample(range(255), 255)) for _ in range(20)]
+    assert [below.contains(q) for q in queries] == [True] * 20 + [False] * 21

@@ -285,6 +285,9 @@ def test_parser_builds():
     (["verify-decomp", "--decomp", "input.json"], '[[[0, "a"], [1, 2]]]'),
     (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], 5]]"),
     (["verify-decomp", "--decomp", "input.json"], "5"),
+    (["verify-decomp", "--decomp", "input.json"], "[[[1.0, 3], [0, 2]]]"),
+    (["to-system", "--group", "klein.json", "--decomp", "input.json"], "[[[1.0, 3], [0, 2]]]"),
+    (["verify-decomp", "--decomp", "input.json"], "[[[true, 1], [0]]]"),
     (["factcheck", "--group", "s4.json", "s3.json"], None),
 ], ids=[
     "missing file", "unreadable file", "malformed json", "group without degree",
@@ -293,7 +296,8 @@ def test_parser_builds():
     "subgroups not a list",
     "wreath base not a number", "wreath base below 2",
     "not a partition", "point not a number", "block not a list",
-    "decomposition not a list", "one subgroup",
+    "decomposition not a list", "point a float", "point a float, to-system",
+    "point a boolean", "one subgroup",
 ])
 def test_bad_input_is_a_json_error(capsys, files, tmp_path, monkeypatch, argv, text):
     monkeypatch.chdir(tmp_path)  # where `files` wrote s4.json and s3.json
@@ -302,6 +306,15 @@ def test_bad_input_is_a_json_error(capsys, files, tmp_path, monkeypatch, argv, t
     code, data = invoke(capsys, argv)
     assert code == 1
     assert data["error"] == "InvalidInput" and data["message"]
+
+
+def test_boolean_images_are_not_a_permutation(capsys, tmp_path):
+    # JSON true and false equal 1 and 0 in Python, but are not points
+    group = tmp_path / "input.json"
+    group.write_text('{"degree": 2, "generators": [[true, false]]}')
+    code, data = invoke(capsys, ["enumerate", "--group", str(group)])
+    assert code == 1
+    assert data["error"] == "NonBijection" and data["message"]
 
 
 @pytest.mark.parametrize("argv", [["atlas", "verify", "KLEIN_GRID"], ["atlas", "list"], ["corpus"]],

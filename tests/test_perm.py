@@ -10,7 +10,7 @@ from permdec import (
     PointOutOfRange,
 )
 
-from permdec.perm import compose, pack
+from permdec.perm import pack, pack_element, product
 
 C = Permutation.from_cycles
 
@@ -22,6 +22,8 @@ def test_constructor_rejects_non_bijections():
         Permutation([0, 3, 1])
     with pytest.raises(NonBijection):
         Permutation([0, 1, "2"])
+    with pytest.raises(NonBijection):  # JSON true and false are not points
+        Permutation([True, False])
 
 
 def test_composition_is_left_to_right():
@@ -88,6 +90,10 @@ def test_partition_validates_cover():
         Partition([[0, 1], [1, 2]], degree=3)
     with pytest.raises(ValueError):
         Partition([[0, 1]], degree=3)
+    with pytest.raises(ValueError):  # 1.0 and True equal the point 1, but are not points
+        Partition([[1.0, 3], [0, 2]])
+    with pytest.raises(ValueError):
+        Partition([[True, 1], [0]])
 
 
 def test_partition_apply():
@@ -98,13 +104,17 @@ def test_partition_apply():
     assert p.block_index_of() == [0, 0, 1, 1]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257])
+@pytest.mark.parametrize("n", [0, 1, 2, 24, 255, 256, 257])
 def test_packed_product_is_the_tuple_product(n):
-    # up to 256 points pack gives a table fixing n..255, above it the image tuple
+    # up to 256 points pack gives a table fixing n..255 and pack_element n bytes,
+    # above it both give the image tuple; a product keeps its left operand's form
     rng = random.Random(n)
+    mul = product(n)
     for _ in range(20):
         a, b = rng.sample(range(n), n), rng.sample(range(n), n)
-        got = compose(pack(a), pack(b))
-        assert type(got) is (bytes if n <= 256 else tuple)
-        assert tuple(got[:n]) == (Permutation(a) * Permutation(b)).images
-        assert tuple(got[n:]) == tuple(range(n, 256))
+        want = (Permutation(a) * Permutation(b)).images
+        element, table = mul(pack_element(a), pack(b)), mul(pack(a), pack(b))
+        assert type(element) is type(table) is (bytes if n <= 256 else tuple)
+        assert tuple(element) == want
+        assert tuple(table[:n]) == want
+        assert tuple(table[n:]) == tuple(range(n, 256))

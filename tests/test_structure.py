@@ -294,7 +294,7 @@ def test_only_group_reads_level_storage():
         if path.name == "group.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in {"transversal", "inv", "tree", "swept"}:
+            if isinstance(node, ast.Attribute) and node.attr in {"transversal", "packed", "inv", "tree", "swept", "tables"}:
                 found.append((path.name, node.lineno))
     assert found == []
 
