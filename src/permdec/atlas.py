@@ -12,7 +12,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from . import io
-from .cartesian import _system_of, round_trip_check, to_system, validate_system
+from .cartesian import round_trip_check, validate_system
 from .errors import BudgetExceeded, InvalidInput, OrderMismatch, UnknownCase
 from .factor import (
     Automorphism,
@@ -54,20 +54,27 @@ class CaseRecord:
     note: str | None = None
 
 
-def _case_path(name, data_dir):
+def _cases_dir(data_dir):
+    """The cases/ directory of data_dir, the bundled data by default."""
     base = pathlib.Path(data_dir) if data_dir else DEFAULT_DATA_DIR
-    path = base / "cases" / f"{name}.json"
+    if not (base / "cases").is_dir():
+        raise InvalidInput(f"data directory {base} has no cases/ directory")
+    return base / "cases"
+
+
+def _case_path(name, data_dir):
+    cases = _cases_dir(data_dir)
+    path = cases / f"{name}.json"
     if not path.exists():
-        known = sorted(p.stem for p in (base / "cases").glob("*.json"))
+        known = sorted(p.stem for p in cases.glob("*.json"))
         raise UnknownCase(f"no case {name!r}; known: {', '.join(known)}")
     return path
 
 
 def list_cases(data_dir=None):
     """All bundled cases as (name, citation, desk_scale), sorted by name."""
-    base = pathlib.Path(data_dir) if data_dir else DEFAULT_DATA_DIR
     return [tuple(io.fields(io.load_json(path), "name", "citation", "desk_scale"))
-            for path in sorted((base / "cases").glob("*.json"))]
+            for path in sorted(_cases_dir(data_dir).glob("*.json"))]
 
 
 def load_case(name, data_dir=None):
@@ -169,8 +176,7 @@ def _verify_direct_case(record, diff):
     if rt.decompositions:
         e = rt.decompositions[0]
         diff.add("index", exp["index"], e.index)
-        system = to_system(g, e, 0)
-        diff.add("K_orders", exp["K_orders"], sorted(k.order() for k in system.subgroups))
+        diff.add("K_orders", exp["K_orders"], sorted(k.order() for k in rt.systems[0].subgroups))
         diff.add("W_order", exp["W_order"], full_stabiliser(e).group.order())
     diff.add("round_trip", True, rt.ok)
 
@@ -200,7 +206,7 @@ def _verify_coset_case(record, diff, budget):
         e = rt.decompositions[0]
         diff.add("index", exp["index"], e.index)
         diff.add("homogeneous", True, e.is_homogeneous())
-        report = validate_system(_system_of(g, e, 0))
+        report = validate_system(rt.systems[0])
         diff.add("K_orders", exp["K_orders"], sorted(report.orders))
         diff.add("system_valid", True, report.valid)
         diff.add("W_order", exp["W_order"], full_stabiliser(e).group.order())

@@ -391,6 +391,7 @@ class RoundTripReport:
     backward_ok: bool
     details: tuple = ()
     decompositions: tuple = ()  # sorted
+    systems: tuple = ()  # the block stabilisers at omega of each decomposition, in its order
 
     @property
     def ok(self):
@@ -411,14 +412,15 @@ def round_trip_check(g, omega=0, plinth=None):
       system as the lattice's K.
 
     Two tuples giving one decomposition show as a count mismatch. The
-    report also carries the sorted decompositions.
+    report also carries the sorted decompositions and their searched systems.
     """
     m, block_tuples, stabilisers = enumerate_cartesian_systems(g, omega=omega, plinth=plinth)
-    forward, backward = {}, []
+    forward, backward, systems = {}, [], {}
     for chosen, e in zip(block_tuples, _decompositions(g, m, block_tuples)):
         k = CartesianSystem(m, omega, [stabilisers[b] for b in chosen])
         forward[e] = to_decomposition(k) == e
-        backward.append((k.index, _system_of(m, e, omega).same_system(k)))
+        systems[e] = _system_of(m, e, omega)
+        backward.append((k.index, systems[e].same_system(k)))
     decomps = sorted(forward)
 
     details = [f"decomposition index {e.index}: round trip {'ok' if forward[e] else 'FAIL'}"
@@ -431,4 +433,4 @@ def round_trip_check(g, omega=0, plinth=None):
         details.append(f"count mismatch: {len(backward)} systems vs {len(decomps)} decompositions")
 
     return RoundTripReport(len(decomps), all(forward.values()), backward_ok, tuple(details),
-                           tuple(decomps))
+                           tuple(decomps), tuple(systems[e] for e in decomps))

@@ -35,8 +35,12 @@ def _load_group(path):
 def _parse_wreath_spec(text):
     base, _, ell = text.removeprefix("wr:").partition("^")
     if not text.startswith("wr:") or not (base.isdecimal() and ell.isdecimal()):
-        raise InvalidInput(f"bad wreath spec {text!r}; expected wr:<base>^<ell>")
-    return WreathSpec(int(base), int(ell))
+        raise InvalidInput(f"bad wreath spec {text!r:.80}; expected wr:<base>^<ell>")
+    try:
+        base, ell = int(base), int(ell)
+    except ValueError as exc:  # more digits than Python converts to an int
+        raise InvalidInput(f"bad wreath spec {text!r:.80}: {exc}") from exc
+    return WreathSpec(base, ell)
 
 
 def cmd_verify_decomp(args):

@@ -43,7 +43,9 @@ one a sweep over all pairs builds.
 ``group_from_generators`` and ``normal_closure`` extend, each a chain it
 then adopts. A point stabiliser adopts levels 1 onward of
 ``chain_with_base((point,))``, the one way to a chain on chosen base points,
-whose callers only read it. That is the cached chain if its base begins
+whose callers only read it. Its level 0 is the point's orbit transversal, so
+``_Level.recompute_orbit`` makes every transversal element. The group keeps
+the chain, made at most once per point: the cached chain if its base begins
 there, else a rebuild from the cached chain's strong generators, not swept
 when its orbit lengths multiply to the known order |G|. The stop is exact:
 level i holds exactly the generators fixing b_0..b_{i-1}, so their group H_i
@@ -87,14 +89,6 @@ def orbit(start, gens, act):
                 tree[y] = (x, s)
                 queue.append(y)
     return tree
-
-
-def transversal(tree, identity):
-    """u_x = u_parent * s for each x of a Schreier tree, so start^u_x = x."""
-    out = {}
-    for x, edge in tree.items():
-        out[x] = identity if edge is None else out[edge[0]] * edge[1]
-    return out
 
 
 class _Level:
@@ -297,7 +291,7 @@ class PermGroup:
         self.generators = generators
         self.name = name
         self._chain = None
-        self._stabilisers = {}
+        self._rebased = {}
 
     # chain plumbing ---------------------------------------------------------
 
@@ -352,20 +346,23 @@ class PermGroup:
         return tuple(sorted(orbit(point, self.generators, on_points)))
 
     def orbit_transversal(self, point):
-        """Map beta -> u with point^u = beta, BFS order over the generators."""
-        check_points(self.degree, (point,))
-        return transversal(orbit(point, self.generators, on_points), self.identity)
+        """Map beta -> u with point^u = beta, read off level 0 of the chain based at point."""
+        chain, _ = self._based_at(point)
+        return dict(chain.levels[0].transversal) if chain.levels else {point: self.identity}
 
     def point_stabiliser(self, point):
-        """Stabiliser of a point, made once per point from levels 1 onward of
-        ``chain_with_base((point,))``."""
+        """Stabiliser of a point, adopting levels 1 onward of the chain based there."""
+        return self._based_at(point)[1]
+
+    def _based_at(self, point):
+        """``chain_with_base((point,))`` and the point's stabiliser, made once per point."""
         check_points(self.degree, (point,))
-        if point not in self._stabilisers:
+        if point not in self._rebased:
             chain = self.chain_with_base((point,))
             stab = copy.copy(chain)  # shares the levels it keeps
             stab.levels = chain.levels[1:]
-            self._stabilisers[point] = _adopting(stab.levels[0].gens if stab.levels else (), stab)
-        return self._stabilisers[point]
+            self._rebased[point] = chain, _adopting(stab.levels[0].gens if stab.levels else (), stab)
+        return self._rebased[point]
 
     # comparisons --------------------------------------------------------------
 

@@ -96,5 +96,8 @@ def load_json(path):
 def dump_json(data, path=None, pretty=False):
     text = json.dumps(data, indent=2 if pretty else None, sort_keys=True, default=_to_json)
     if path is not None:
-        pathlib.Path(path).write_text(text + "\n")
+        try:
+            pathlib.Path(path).write_text(text + "\n")
+        except OSError as exc:
+            raise InvalidInput(f"cannot write JSON to {path}: {exc}") from exc
     return text

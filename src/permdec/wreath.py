@@ -126,9 +126,10 @@ def product_action_wreath(spec, degree_budget=DEGREE_BUDGET):
     |Gamma|!^l * l!, is not checked here; w.order() computes it from the
     generators.
     """
-    n = spec.degree
-    if n > degree_budget:
-        raise BudgetExceeded(f"degree {n} exceeds the budget {degree_budget}")
+    # base >= 2 makes the degree at least 2^l, so a long top needs no power
+    if spec.top_count >= degree_budget.bit_length() or spec.degree > degree_budget:
+        raise BudgetExceeded(f"wr:{spec.base_size}^{spec.top_count} has degree above "
+                             f"the budget {degree_budget}")
     e_nat = natural_decomposition(spec.radices)
     w = full_stabiliser(e_nat).group
     check(w.is_transitive(), "the product action wreath is not transitive")

@@ -97,7 +97,7 @@ def test_a6_verify_walks_its_one_system_once(monkeypatch):
                     monkeypatch.setattr(module, key, counted)
     assert verify_case("A6_36")["ok"]
     assert calls == {"enumerate_cartesian_systems": 1, "validate_system": 2,
-                     "validate_decomposition": 3, "setwise_stabiliser": 4}
+                     "validate_decomposition": 3, "setwise_stabiliser": 2}
 
 
 @pytest.mark.parametrize("name", sorted(METADATA_ONLY))

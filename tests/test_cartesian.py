@@ -281,6 +281,16 @@ def test_round_trip_report_carries_the_sorted_decompositions(a6_36, klein):
         assert list(report.decompositions) == enumerate_cartesian_decompositions(g, plinth=g)
 
 
+def test_round_trip_report_carries_the_system_of_each_decomposition(a6_36):
+    regular = PermGroup([C(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)]),
+                         C(9, [(0, 3, 6), (1, 4, 7), (2, 5, 8)])])  # 3^2 on itself
+    for g in (load_case("KLEIN_GRID").group, a6_36, regular):
+        report = round_trip_check(g, plinth=g)
+        assert report.ok and len(report.systems) == report.decomposition_count > 0
+        for e, system in zip(report.decompositions, report.systems, strict=True):
+            assert system.same_system(to_system(g, e, 0))
+
+
 def test_round_trip_s4_vacuous(s4):
     report = round_trip_check(s4)
     assert report.ok and report.decomposition_count == 0

@@ -390,6 +390,42 @@ def test_point_stabiliser_is_made_once_per_point(monkeypatch):
     assert _fingerprint(m12.chain) == before
 
 
+@pytest.mark.parametrize("stabiliser_first", [False, True])
+def test_orbit_transversal_and_point_stabiliser_share_one_chain(monkeypatch, stabiliser_first):
+    m12 = _m12()
+    m12.order()
+    builds = []
+    original = group_module._Chain.__init__
+
+    def counted(chain, *args, **kwargs):
+        builds.append(args)
+        original(chain, *args, **kwargs)
+
+    products = []
+    multiply = Permutation.__mul__
+    monkeypatch.setattr(group_module._Chain, "__init__", counted)
+    monkeypatch.setattr(Permutation, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    calls = (m12.orbit_transversal, m12.point_stabiliser)
+    assert 11 not in m12.base
+    for point, want in ((m12.base[0], 0), (11, 1)):  # on the base and off it
+        for call in reversed(calls) if stabiliser_first else calls:
+            call(point)
+        assert len(builds) == want  # the off-base point needs one rebased chain
+        builds.clear()
+        products.clear()
+        trans = m12.orbit_transversal(point)  # read off that chain again, with no product
+        assert products == []
+        assert sorted(trans) == list(range(12))
+        assert all(u.images[point] == beta for beta, u in trans.items())
+        assert m12.point_stabiliser(point).order() == 7920 and builds == []
+
+
+def test_orbit_transversal_of_the_trivial_group():
+    trivial = PermGroup((), degree=4)
+    assert trivial.orbit_transversal(2) == {2: Permutation.identity(4)}
+    assert trivial.point_stabiliser(2).order() == 1
+
+
 # --- rebases ---------------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from permdec.atlas import DEFAULT_DATA_DIR
 from permdec.cli import build_parser, run
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 KLEIN = {"degree": 4, "generators": [[1, 0, 3, 2], [2, 3, 0, 1]], "name": "V4"}
 S4 = {"degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]], "name": "S4"}
@@ -281,6 +285,7 @@ def test_parser_builds():
      '{"group": {"degree": 2, "generators": []}, "base_point": 0, "subgroups": 5}'),
     (["wreath", "wr:x^2"], None),
     (["wreath", "wr:1^2"], None),
+    (["wreath", f"wr:{'9' * 5000}^2"], None),
     (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], [1, 2]]]"),
     (["verify-decomp", "--decomp", "input.json"], '[[[0, "a"], [1, 2]]]'),
     (["verify-decomp", "--decomp", "input.json"], "[[[0, 1], 5]]"),
@@ -294,7 +299,7 @@ def test_parser_builds():
     "group without generators", "generator not a list", "degree not a number",
     "negative degree", "degree null", "subgroup not a list", "base point not a number",
     "subgroups not a list",
-    "wreath base not a number", "wreath base below 2",
+    "wreath base not a number", "wreath base below 2", "wreath base past the digit limit",
     "not a partition", "point not a number", "block not a list",
     "decomposition not a list", "point a float", "point a float, to-system",
     "point a boolean", "one subgroup",
@@ -306,6 +311,39 @@ def test_bad_input_is_a_json_error(capsys, files, tmp_path, monkeypatch, argv, t
     code, data = invoke(capsys, argv)
     assert code == 1
     assert data["error"] == "InvalidInput" and data["message"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_out_is_a_json_error(capsys, tmp_path, where):
+    out = tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path
+    code, data = invoke(capsys, ["wreath", "wr:2^2", "--out", str(out)])
+    assert code == 1
+    assert data["error"] == "InvalidInput" and str(out) in data["message"]
+
+
+def test_wreath_with_a_long_top_is_refused_before_its_degree():
+    # 7^30000000 would take minutes to compute and has too many digits to print
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "permdec.cli", "wreath", "wr:7^30000000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 1, done.stderr
+    data = json.loads(done.stdout)
+    assert data["error"] == "BudgetExceeded" and "wr:7^30000000" in data["message"]
+
+
+@pytest.mark.parametrize("argv", [["corpus"], ["atlas", "list"], ["atlas", "verify", "KLEIN_GRID"]],
+                         ids=["corpus", "atlas list", "atlas verify"])
+def test_data_dir_without_cases_is_a_json_error(capsys, tmp_path, argv):
+    code, data = invoke(capsys, argv + ["--data-dir", str(tmp_path / "absent")])
+    assert code == 1
+    assert data["error"] == "InvalidInput" and str(tmp_path / "absent") in data["message"]
+
+
+def test_case_missing_from_a_data_dir_is_unknown(capsys, tmp_path):
+    (tmp_path / "cases").mkdir()
+    code, data = invoke(capsys, ["atlas", "verify", "KLEIN_GRID", "--data-dir", str(tmp_path)])
+    assert code == 1 and data["error"] == "UnknownCase"
 
 
 def test_boolean_images_are_not_a_permutation(capsys, tmp_path):
