@@ -34,7 +34,7 @@ assert result.group.same_group(w)
 
 # inhomogeneous grids get a direct product instead of a wreath product
 mixed = natural_decomposition((2, 3))
-result = full_stabiliser(mixed, require_homogeneous=False)
+result = full_stabiliser(mixed)
 print(f"2x3 grid stabiliser: {result.structure}, order {result.group.order()}")
 
 # at 6^2 = 36 points, the stabiliser of the grid already has order (6!)^2 * 2

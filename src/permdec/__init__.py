@@ -29,7 +29,6 @@ from .errors import (
     InvalidSystem,
     NonBijection,
     NotFactorisation,
-    NotHomogeneous,
     NotInnatelyTransitive,
     NotInvariant,
     NotSubgroup,
@@ -80,7 +79,6 @@ __all__ = [
     "InvalidSystem",
     "NonBijection",
     "NotFactorisation",
-    "NotHomogeneous",
     "NotInnatelyTransitive",
     "NotInvariant",
     "NotSubgroup",

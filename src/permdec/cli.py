@@ -262,6 +262,8 @@ def run(argv=None):
     try:
         if getattr(args, "budget", None) is not None and args.budget < 1:
             raise InvalidInput(f"--budget must be at least 1, got {args.budget}")
+        if args.out is not None:  # before the verb runs, which may take long
+            io.check_writable(args.out)
         return args.fn(args)
     except PermdecError as exc:
         print(io.dump_json({"error": type(exc).__name__, "message": str(exc)}))

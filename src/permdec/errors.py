@@ -37,10 +37,6 @@ class InvalidSystem(PermdecError):
     """The subgroups do not form a Cartesian system."""
 
 
-class NotHomogeneous(PermdecError):
-    """The operation requires a homogeneous decomposition."""
-
-
 class NotSubgroup(PermdecError):
     """A claimed subgroup has elements outside the ambient group."""
 

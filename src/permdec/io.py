@@ -93,6 +93,12 @@ def load_json(path):
         raise InvalidInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def check_writable(path):
+    """InvalidInput unless path names a file, new or not, in an existing directory."""
+    if pathlib.Path(path).is_dir() or not pathlib.Path(path).parent.is_dir():
+        raise InvalidInput(f"cannot write JSON to {path}: not a file in an existing directory")
+
+
 def dump_json(data, path=None, pretty=False):
     text = json.dumps(data, indent=2 if pretty else None, sort_keys=True, default=_to_json)
     if path is not None:

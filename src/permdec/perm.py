@@ -184,10 +184,10 @@ class Partition:
 
     def __init__(self, blocks, degree=None):
         try:
-            norm = sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0] if b else -1)
+            norm = sorted(tuple(sorted(set(b))) for b in blocks)
             pts = [x for b in norm for x in b]
             n = degree if degree is not None else (max(pts) + 1 if pts else 0)
-            is_partition = {*map(type, pts)} <= {int} and sorted(pts) == list(range(n))
+            is_partition = all(norm) and {*map(type, pts)} <= {int} and sorted(pts) == list(range(n))
         except TypeError:  # a block that is not a collection of points
             is_partition = False
         if not is_partition:

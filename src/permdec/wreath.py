@@ -4,9 +4,11 @@ Points of the product action on Gamma^l are encoded big-endian mixed
 radix: coordinate 0 is the most significant digit, and coordinate i of
 point p is (p // strides[i]) % radices[i]. The natural Cartesian
 decomposition has one partition per coordinate, whose blocks are the
-fibres of that coordinate. The wreath product Sym(Gamma) wr S_l in product
-action is the full stabiliser of the natural decomposition; one routine,
-``full_stabiliser``, builds the stabiliser of any decomposition.
+fibres of that coordinate. Any Cartesian decomposition E identifies each
+point with the tuple of its blocks, one per partition of E, and one
+routine, ``full_stabiliser``, builds Stab(E) as maps on those tuples. The
+wreath product Sym(Gamma) wr S_l in product action is the stabiliser of
+the natural decomposition.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .cartesian import CartesianDecomposition, is_invariant, validate_decomposition
-from .errors import (
-    BudgetExceeded,
-    InvalidDecomposition,
-    InvalidInput,
-    NotHomogeneous,
-    PointOutOfRange,
-    check,
-)
+from .errors import BudgetExceeded, InvalidDecomposition, InvalidInput, PointOutOfRange, check
 from .group import PermGroup
 from .perm import Partition, Permutation
 
@@ -54,16 +49,16 @@ def encode(spec, coords):
         raise PointOutOfRange(f"expected {spec.top_count} coordinates, got {len(coords)}")
     point = 0
     for c in coords:
-        if not 0 <= c < spec.base_size:
-            raise PointOutOfRange(f"coordinate {c} outside 0..{spec.base_size - 1}")
+        if type(c) is not int or not 0 <= c < spec.base_size:
+            raise PointOutOfRange(f"coordinate {c!r} outside 0..{spec.base_size - 1}")
         point = point * spec.base_size + c
     return point
 
 
 def decode(spec, point):
     """Point -> tuple of coordinates."""
-    if not 0 <= point < spec.degree:
-        raise PointOutOfRange(f"point {point} outside 0..{spec.degree - 1}")
+    if type(point) is not int or not 0 <= point < spec.degree:
+        raise PointOutOfRange(f"point {point!r} outside 0..{spec.degree - 1}")
     radices = spec.radices
     return tuple((point // s) % r for s, r in zip(_strides(radices), radices))
 
@@ -73,29 +68,6 @@ def _strides(radices):
     for i in range(len(radices) - 2, -1, -1):
         out[i] = out[i + 1] * radices[i + 1]
     return out
-
-
-def _coord_perm(radices, i, images_on_values):
-    """The permutation applying a value map to coordinate i only."""
-    stride, r = _strides(radices)[i], radices[i]
-    out = [0] * math.prod(radices)
-    for p in range(len(out)):
-        v = (p // stride) % r
-        out[p] = p + (images_on_values[v] - v) * stride
-    return Permutation(out)
-
-
-def _top_perm(radices, sigma):
-    """The permutation sending coordinate i to position sigma[i].
-
-    Only valid when the moved radices agree.
-    """
-    strides = _strides(radices)
-    out = [0] * math.prod(radices)
-    for i, (s, r) in enumerate(zip(strides, radices)):
-        t = strides[sigma[i]]
-        out = [q + (p // s) % r * t for p, q in enumerate(out)]
-    return Permutation(out)
 
 
 def natural_decomposition(radices):
@@ -121,8 +93,8 @@ def product_action_wreath(spec, degree_budget=DEGREE_BUDGET):
 
     W is the full stabiliser of the natural decomposition in Sym(Gamma^l),
     ``full_stabiliser(e_nat).group``: the natural partitions sort in
-    coordinate order, so the relabelling is the identity and W is generated
-    by Sym(Gamma) on coordinate 0 and S_l on the coordinates. Its order,
+    coordinate order, so a point's block tuple is its coordinate tuple and W
+    is generated by Sym(Gamma) on coordinate 0 and S_l on the coordinates. Its order,
     |Gamma|!^l * l!, is not checked here; w.order() computes it from the
     generators.
     """
@@ -144,63 +116,48 @@ class StabiliserResult:
     expected_order: int
 
 
-def full_stabiliser(e, require_homogeneous=True):
+def full_stabiliser(e):
     """The stabiliser of a Cartesian decomposition in the full symmetric group.
 
-    Built as the stabiliser of the natural decomposition with the same
-    block counts, conjugated by the relabelling matching natural blocks
-    to the blocks of e. Partitions with equal block counts may be
-    permuted; distinct counts give a plain direct product, reported with
-    homogeneous=False (and rejected when require_homogeneous is set).
-    expected_order is the closed-form order; group.order() recomputes it
-    from the generators, which the atlas does for its W_order rows.
+    e identifies each point with the tuple of blocks holding it, one block
+    index per partition, and every generator is a map on those tuples. Per
+    class of partitions with c >= 2 blocks, Sym(c) relabels the blocks of
+    the class's first partition and, for two or more partitions, Sym(class
+    size) permutes the partitions; a one-block partition is fixed by every
+    permutation and adds nothing. Distinct block counts give a direct
+    product, reported with homogeneous=False. expected_order is the
+    closed-form order; group.order() recomputes it from the generators,
+    which the atlas does for its W_order rows.
     """
     report = validate_decomposition(e)
     if not report.valid:
         raise InvalidDecomposition(f"invalid decomposition: witness {report.witness}")
-    homogeneous = e.is_homogeneous()
-    if require_homogeneous and not homogeneous:
-        raise NotHomogeneous(
-            "inhomogeneous decomposition; call with require_homogeneous=False "
-            "for the direct-product stabiliser"
-        )
+    keys = list(zip(*(p.block_index_of() for p in e.partitions)))
+    point_of = {key: x for x, key in enumerate(keys)}
 
-    counts = [p.block_count for p in e.partitions]
-    radices = tuple(counts)
-    n = e.degree
-
-    # relabelling: natural point with digits (b_1..b_l) -> the unique point
-    # lying in block b_i of partition i for every i
-    naturals = [0] * n
-    for p, s in zip(e.partitions, _strides(radices)):
-        naturals = [q + k * s for q, k in zip(naturals, p.block_index_of())]
-    relabel = Permutation(naturals).inverse()
-
-    # generators per class of equal block count; the top action is
-    # transitive on each class so one coordinate of value gens suffices
     classes = {}
-    for pos, c in enumerate(counts):
-        classes.setdefault(c, []).append(pos)
+    for pos, p in enumerate(e.partitions):
+        classes.setdefault(p.block_count, []).append(pos)
     gens = []
     structure_bits = []
     expected = 1
-    for c in sorted(classes):
-        positions = classes[c]
-        size = len(positions)
+    for c, positions in sorted(classes.items()):
+        if c == 1:
+            continue
+        first, size = positions[0], len(positions)
         for imgs in _sym_gens(c):
-            gens.append(_coord_perm(radices, positions[0], imgs))
+            moved = [key[:first] + (imgs[key[first]],) + key[first + 1:] for key in keys]
+            gens.append(Permutation([point_of[key] for key in moved]))
         for imgs in _sym_gens(size) if size >= 2 else ():
-            sigma = list(range(len(counts)))
+            # partition positions[k] takes the place of partition positions[imgs[k]]
+            source = list(range(e.index))
             for k, j in enumerate(imgs):
-                sigma[positions[k]] = positions[j]
-            gens.append(_top_perm(radices, sigma))
+                source[positions[j]] = positions[k]
+            gens.append(Permutation([point_of[tuple(key[i] for i in source)] for key in keys]))
         expected *= math.factorial(c) ** size * math.factorial(size)
-        if size == 1:
-            structure_bits.append(f"S{c}")
-        else:
-            structure_bits.append(f"S{c} wr S{size}")
+        structure_bits.append(f"S{c} wr S{size}" if size >= 2 else f"S{c}")
 
-    conj = [g.conjugate_by(relabel) for g in gens]
-    group = PermGroup(conj, degree=n, name=" x ".join(structure_bits))
+    structure = " x ".join(structure_bits) or "1"
+    group = PermGroup(gens, degree=e.degree, name=structure)
     check(is_invariant(group, e).invariant, "the full stabiliser moves the decomposition")
-    return StabiliserResult(group, homogeneous, " x ".join(structure_bits), expected)
+    return StabiliserResult(group, e.is_homogeneous(), structure, expected)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from permdec import cli
 from permdec.atlas import DEFAULT_DATA_DIR
 from permdec.cli import build_parser, run
 
@@ -293,6 +294,8 @@ def test_parser_builds():
     (["verify-decomp", "--decomp", "input.json"], "[[[1.0, 3], [0, 2]]]"),
     (["to-system", "--group", "klein.json", "--decomp", "input.json"], "[[[1.0, 3], [0, 2]]]"),
     (["verify-decomp", "--decomp", "input.json"], "[[[true, 1], [0]]]"),
+    (["verify-decomp", "--decomp", "input.json"],
+     "[[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 1, 2, 3], []]]"),
     (["factcheck", "--group", "s4.json", "s3.json"], None),
 ], ids=[
     "missing file", "unreadable file", "malformed json", "group without degree",
@@ -302,7 +305,7 @@ def test_parser_builds():
     "wreath base not a number", "wreath base below 2", "wreath base past the digit limit",
     "not a partition", "point not a number", "block not a list",
     "decomposition not a list", "point a float", "point a float, to-system",
-    "point a boolean", "one subgroup",
+    "point a boolean", "empty block", "one subgroup",
 ])
 def test_bad_input_is_a_json_error(capsys, files, tmp_path, monkeypatch, argv, text):
     monkeypatch.chdir(tmp_path)  # where `files` wrote s4.json and s3.json
@@ -314,11 +317,21 @@ def test_bad_input_is_a_json_error(capsys, files, tmp_path, monkeypatch, argv, t
 
 
 @pytest.mark.parametrize("where", ["missing directory", "a directory"])
-def test_unwritable_out_is_a_json_error(capsys, tmp_path, where):
+def test_unwritable_out_is_a_json_error(capsys, monkeypatch, tmp_path, where):
+    # refused before the verb runs: no report lines first, no wait for the computation
+    def verb_ran(args):
+        raise AssertionError("the verb ran")
+
     out = tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path
-    code, data = invoke(capsys, ["wreath", "wr:2^2", "--out", str(out)])
-    assert code == 1
-    assert data["error"] == "InvalidInput" and str(out) in data["message"]
+    for argv, verb in [(["wreath", "wr:30^2"], "cmd_wreath"),
+                       (["corpus", "--pretty"], "cmd_corpus")]:
+        monkeypatch.setattr(cli, verb, verb_ran)
+        code = run(argv + ["--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        data = json.loads(lines[0])
+        assert data["error"] == "InvalidInput" and str(out) in data["message"]
+    assert not (tmp_path / "absent").exists()
 
 
 def test_wreath_with_a_long_top_is_refused_before_its_degree():

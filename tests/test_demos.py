@@ -8,11 +8,11 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
 def test_demos_found():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04"]
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

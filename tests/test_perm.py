@@ -4,6 +4,7 @@ import pytest
 
 from permdec import (
     DegreeMismatch,
+    InvalidInput,
     NonBijection,
     Partition,
     Permutation,
@@ -94,6 +95,9 @@ def test_partition_validates_cover():
         Partition([[1.0, 3], [0, 2]])
     with pytest.raises(ValueError):
         Partition([[True, 1], [0]])
+    for blocks in [[[0, 1], []], [[], [0, 1]], [[]]]:  # an empty block is no block
+        with pytest.raises(InvalidInput):
+            Partition(blocks)
 
 
 def test_partition_apply():

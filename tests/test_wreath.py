@@ -1,10 +1,11 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from permdec import (
     BudgetExceeded,
-    NotHomogeneous,
     Partition,
     Permutation,
     PermGroup,
@@ -56,6 +57,12 @@ def test_encode_checks_range():
         decode(spec, 9)
     with pytest.raises(PointOutOfRange):
         encode(spec, (0, 0, 0))
+    for coords in [(1.5, 0), (True, False), (1.0, 0)]:  # equal to points, but not points
+        with pytest.raises(PointOutOfRange):
+            encode(spec, coords)
+    for point in [2.5, 2.0, True]:
+        with pytest.raises(PointOutOfRange):
+            decode(spec, point)
 
 
 def test_degree_budget():
@@ -106,9 +113,7 @@ def test_full_stabiliser_3x3_order():
 
 def test_full_stabiliser_inhomogeneous():
     e = natural_decomposition((2, 3))
-    with pytest.raises(NotHomogeneous):
-        full_stabiliser(e)
-    result = full_stabiliser(e, require_homogeneous=False)
+    result = full_stabiliser(e)
     assert not result.homogeneous
     assert result.group.order() == 12
     assert result.structure == "S2 x S3"
@@ -116,7 +121,7 @@ def test_full_stabiliser_inhomogeneous():
 
 def test_full_stabiliser_mixed_classes():
     e = natural_decomposition((2, 2, 3))
-    result = full_stabiliser(e, require_homogeneous=False)
+    result = full_stabiliser(e)
     assert result.group.order() == 2 * 2 * 2 * 6
     assert "wr" in result.structure and "S3" in result.structure
 
@@ -137,4 +142,46 @@ def test_full_stabiliser_conjugated_grid():
     e = CartesianDecomposition([Partition([(0, 3), (1, 2)]), Partition([(0, 1), (2, 3)])])
     result = full_stabiliser(e)
     assert result.group.order() == 8
+    assert is_invariant(result.group, e).invariant
+
+
+def _relabelled(radices, seed):
+    e = natural_decomposition(radices)
+    images = list(range(e.degree))
+    random.Random(seed).shuffle(images)
+    return CartesianDecomposition([p.apply(Permutation(images)) for p in e.partitions])
+
+
+def test_full_stabiliser_pinned_on_relabelled_grids():
+    # recorded from the construction that conjugated natural generators by the
+    # relabelling; acting on block-index tuples gives the same images
+    digest = hashlib.sha256()
+    for radices in [(2, 2), (3, 3), (2, 3), (2, 2, 3), (2, 3, 2, 3), (12, 12)]:
+        for seed in range(3):
+            r = full_stabiliser(_relabelled(radices, seed))
+            digest.update(repr(([g.images for g in r.group.generators], r.structure,
+                                r.expected_order, r.homogeneous)).encode())
+    assert digest.hexdigest() == "ccb148202069786b0e054d2bc2072b5174464ffd1c5b403dc9ce744fe99f214f"
+
+
+def test_full_stabiliser_2x3_matches_brute():
+    e = _relabelled((2, 3), 7)
+    parts = set(e.partitions)
+    brute = {
+        images
+        for images in itertools.permutations(range(6))
+        if {p.apply(Permutation(images)) for p in e.partitions} == parts
+    }
+    result = full_stabiliser(e)
+    assert {x.images for x in result.group.elements()} == brute
+    assert len(brute) == result.expected_order == 12 and not result.homogeneous
+
+
+def test_full_stabiliser_one_block_partition():
+    # a one-block partition is fixed by every permutation: no generator, no factor
+    e = CartesianDecomposition([Partition([(0, 1), (2, 3)]), Partition([(0, 2), (1, 3)]),
+                                Partition([(0, 1, 2, 3)])])
+    result = full_stabiliser(e)
+    assert not result.homogeneous
+    assert result.group.order() == result.expected_order == 8
     assert is_invariant(result.group, e).invariant
