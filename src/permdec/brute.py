@@ -48,11 +48,12 @@ def proper_uniform_partitions(n):
 
 
 def is_cartesian_set(partitions):
-    """Directly check every block choice meets in exactly one point."""
+    """Directly check the partitions are distinct and each block choice meets in one point."""
     partitions = list(partitions)
     degrees = {p.degree for p in partitions}
     # one point per choice makes as many choices as points; this bounds the scan
-    if len(degrees) != 1 or math.prod(p.block_count for p in partitions) not in degrees:
+    if (len(degrees) != 1 or len(set(partitions)) < len(partitions)
+            or math.prod(p.block_count for p in partitions) not in degrees):
         return False
     return all(len(set.intersection(*map(set, choice))) == 1
                for choice in product(*(p.blocks for p in partitions)))

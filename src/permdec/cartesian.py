@@ -38,7 +38,7 @@ from .structure import (
 
 
 class CartesianDecomposition:
-    """An ordered list of partitions of a common point set (canonical order)."""
+    """An ordered list of distinct partitions of a common point set (canonical order)."""
 
     __slots__ = ("partitions", "degree")
 
@@ -47,9 +47,11 @@ class CartesianDecomposition:
         if not partitions:
             raise InvalidDecomposition("no partitions given")
         degree = partitions[0].degree
-        for p in partitions:
-            if p.degree != degree:
-                raise DegreeMismatch(f"partition degrees {p.degree} and {degree} differ")
+        for p, q in zip(partitions, partitions[1:]):
+            if q.degree != degree:
+                raise DegreeMismatch(f"partition degrees {q.degree} and {degree} differ")
+            if p == q:
+                raise InvalidDecomposition(f"repeated partition {p!r}")
         object.__setattr__(self, "partitions", tuple(partitions))
         object.__setattr__(self, "degree", degree)
 

@@ -14,17 +14,17 @@ One sweep is enough: level i's generators and orbit stay fixed during it
 or whose residue was added, lies in the group of the completed levels
 below, which only grows. A level the residue missed keeps its generators,
 as does every level below it, so it stays complete. Sweeps sit on an
-explicit stack. The kernel keeps packed images in two forms. A table
-(``perm.pack``, 256 bytes up to 256 points) is kept for what acts from the
-right: u_x^-1 and each generator and its inverse. An element
-(``perm.pack_element``, n bytes) is kept for what is acted on: u_x, Schreier
-generators, sift residues and ``contains`` queries. So a product, bound once
-per chain by degree (``perm.product``), is one ``bytes.translate`` over n
-bytes; above 256 points both forms are the image tuple. u_x and u_x^-1 are
-built along the Schreier tree, u_x as the ``Permutation`` u_parent * s, which
-the level keeps and packs once. A sift or Schreier generator skips each
-level whose base point it already fixes, as the transversal element there
-is the identity. A sift stops once its residue is the identity.
+explicit stack. What is acted on (u_x, Schreier generators, sift residues,
+``contains`` queries) is a permutation's own images, n bytes up to 256
+points. What acts from the right (u_x^-1, each generator and its inverse)
+is kept as a table (``perm.pack``, 256 bytes up to 256 points). So a
+product, bound once per chain by degree (``perm.product``), is one
+``bytes.translate``; above 256 points both are the image tuple. u_x and
+u_x^-1 are built along the Schreier tree, u_x as the ``Permutation``
+u_parent * s, whose images are the level's only copy of u_x. A sift or
+Schreier generator skips each level whose base point it already fixes, as
+the transversal element there is the identity. A sift stops once its
+residue is the identity.
 
 A re-sweep is incremental. Each level keeps its Schreier tree, and a new
 tree reuses u_x and u_x^-1 for each point x whose tree edge and every
@@ -60,7 +60,7 @@ from __future__ import annotations
 import copy
 
 from .errors import DegreeMismatch, InvalidInput, NotTransitive, PointOutOfRange
-from .perm import Permutation, pack, pack_element, product
+from .perm import Permutation, identity_images, pack, product
 
 
 def check_points(degree, points):
@@ -92,7 +92,7 @@ def orbit(start, gens, act):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "tables", "orbit", "tree", "transversal", "packed", "inv", "swept")
+    __slots__ = ("point", "gens", "tables", "orbit", "tree", "transversal", "inv", "swept")
 
     def __init__(self, point):
         self.point = point
@@ -101,7 +101,6 @@ class _Level:
         self.orbit = [point]
         self.tree = {}
         self.transversal = {}
-        self.packed = {}  # u_x as elements
         self.inv = {}  # u_x^-1 as tables
         self.swept = 0  # generators the level had when its last sweep finished
 
@@ -112,30 +111,27 @@ class _Level:
     def u_inv(self, beta):
         """u_beta^-1, or None when beta is off the orbit."""
         images = self.inv.get(beta)
-        return None if images is None else Permutation._unchecked(images[:len(self.packed[beta])])
+        return None if images is None else Permutation._unchecked(images[:self.transversal[beta].degree])
 
     def recompute_orbit(self, chain):
         """Rebuild the Schreier tree; return the points whose tree path is unchanged,
         which keep their u_x and u_x^-1."""
-        old_tree, old_u, old_packed, old_inv = self.tree, self.transversal, self.packed, self.inv
+        old_tree, old_u, old_inv = self.tree, self.transversal, self.inv
         self.tree = tree = orbit(self.point, list(zip(self.gens, self.tables)),
                                  lambda x, s: s[1][0][x])
         self.orbit = list(tree)
         self.transversal = u = {}
-        self.packed = packed = {}
         self.inv = inv = {}
         kept = set()
         mul = chain.mul
         for x, edge in tree.items():  # each parent comes before its children
             if edge is None:
-                u[x] = Permutation.identity(chain.degree)
-                packed[x], inv[x] = chain.identity, chain.identity_table
+                u[x], inv[x] = Permutation.identity(chain.degree), chain.identity_table
             elif edge[0] in kept and old_tree.get(x) == edge:
-                u[x], packed[x], inv[x] = old_u[x], old_packed[x], old_inv[x]
+                u[x], inv[x] = old_u[x], old_inv[x]
             else:
                 parent, (s, (_, s_inv)) = edge
                 u[x] = u[parent] * s
-                packed[x] = pack_element(u[x].images)
                 inv[x] = mul(s_inv, inv[parent])  # u_x^-1 = s^-1 * u_parent^-1
                 continue
             kept.add(x)
@@ -151,8 +147,8 @@ class _Chain:
         self.levels = []
         self._hint = list(base_hint)
         self.mul = product(degree)
-        self.identity = pack_element(range(degree))
-        self.identity_table = pack(range(degree))
+        self.identity = identity_images(degree)
+        self.identity_table = pack(self.identity)
         for g in generators:
             if not g.is_identity():
                 self._add_gen(g, 0)
@@ -196,7 +192,7 @@ class _Chain:
         return True
 
     def _strip_images(self, g, start=0):
-        """Sift the packed element g through levels start onward; return the residue."""
+        """Sift the images g through levels start onward; return the residue."""
         levels, mul, identity = self.levels, self.mul, self.identity
         for i in range(start, len(levels)):
             level = levels[i]
@@ -232,7 +228,7 @@ class _Chain:
         mul, identity, n = self.mul, self.identity, self.degree
         point = level.point
         for beta in level.orbit:
-            u = level.packed[beta]
+            u = level.transversal[beta].images
             sifted = swept if beta in kept else 0  # pairs the last sweep sifted
             for j, s in enumerate(gens):  # u_point is the identity
                 gamma = s[beta]
@@ -257,7 +253,7 @@ class _Chain:
     def contains(self, g):
         if g.degree != self.degree:
             raise DegreeMismatch(f"degrees {g.degree} and {self.degree} differ")
-        return self._strip_images(pack_element(g.images)) == self.identity
+        return self._strip_images(g.images) == self.identity
 
     def elements(self):
         """All group elements, deterministic order; at most one product per element."""

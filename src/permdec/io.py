@@ -20,7 +20,7 @@ from .perm import Partition, Permutation
 
 
 def group_to_json(g):
-    out = {"degree": g.degree, "generators": [p.images for p in g.generators]}
+    out = {"degree": g.degree, "generators": [list(p.images) for p in g.generators]}
     if g.name:
         out["name"] = g.name
     return out
@@ -79,7 +79,7 @@ def _to_json(obj):
         return {
             "group": {**group_to_json(obj.ambient), "name": obj.ambient.name},
             "base_point": obj.base_point,
-            "subgroups": [[g.images for g in k.generators] for k in obj.subgroups],
+            "subgroups": [[list(g.images) for g in k.generators] for k in obj.subgroups],
         }
     if dataclasses.is_dataclass(obj):
         return vars(obj)

@@ -2,6 +2,10 @@
 
 Composition is left-to-right: ``(p * q)(x) == q(p(x))``, matching the
 exponent convention ``x^(pq) = (x^p)^q`` used throughout the package.
+
+Up to 256 points a permutation keeps its images as n bytes, above as the
+image tuple. So a product is one ``bytes.translate`` by the right operand's
+table (``pack``) and an inverse one ``bytes.maketrans``, up to 256 points.
 """
 
 from __future__ import annotations
@@ -14,8 +18,13 @@ from .errors import DegreeMismatch, InvalidInput, NonBijection, PointOutOfRange,
 _TABLE = bytes(range(256))  # the identity table
 
 
+def identity_images(n):
+    """The images of the degree-n identity in the form a permutation keeps."""
+    return _TABLE[:n] if n <= 256 else tuple(range(n))
+
+
 class Permutation:
-    """An immutable permutation stored as its image tuple."""
+    """An immutable permutation, its images n bytes up to 256 points, a tuple above."""
 
     __slots__ = ("images",)
 
@@ -27,18 +36,19 @@ class Permutation:
             if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise NonBijection(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[v] = True
-        object.__setattr__(self, "images", images)
+        self.images = bytes(images) if n <= 256 else images
 
     # construction helpers -------------------------------------------------
 
     @staticmethod
     def identity(n):
-        return Permutation._unchecked(range(n))
+        return Permutation._unchecked(identity_images(n))
 
     @staticmethod
     def _unchecked(images):
+        """Wrap images already in the kept form, bytes or tuple by degree; no copy."""
         p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", tuple(images))
+        p.images = images
         return p
 
     @staticmethod
@@ -65,7 +75,7 @@ class Permutation:
         return self.images[point]
 
     def is_identity(self):
-        return self.images == tuple(range(len(self.images)))
+        return self.images == identity_images(len(self.images))
 
     def first_moved(self):
         """Smallest moved point, or None for the identity."""
@@ -101,9 +111,10 @@ class Permutation:
 
     def __mul__(self, other):
         a, b = self.images, other.images
-        if len(a) != len(b):
-            raise DegreeMismatch(f"degrees {len(a)} and {len(b)} differ")
-        return Permutation._unchecked(compose(a, b))
+        n = len(a)
+        if n != len(b):
+            raise DegreeMismatch(f"degrees {n} and {len(b)} differ")
+        return Permutation._unchecked(a.translate(b + _TABLE[n:]) if n <= 256 else compose(a, b))
 
     def __pow__(self, k):
         if k < 0:
@@ -118,10 +129,14 @@ class Permutation:
         return out
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
+        a = self.images
+        n = len(a)
+        if n <= 256:
+            return Permutation._unchecked(bytes.maketrans(a, _TABLE[:n])[:n])
+        inv = [0] * n
+        for i, v in enumerate(a):
             inv[v] = i
-        return Permutation._unchecked(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def conjugate_by(self, m):
         """m^-1 * self * m; maps a stabiliser of X to a stabiliser of X^m."""
@@ -136,7 +151,9 @@ class Permutation:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self):
-        return hash(self.images)
+        # hash(bytes) is salted per process; an int's hash, like an int tuple's, is not
+        a = self.images
+        return hash(int.from_bytes(a, "little")) if len(a) <= 256 else hash(a)
 
     def __repr__(self):
         cycles = self.cycles()
@@ -147,29 +164,20 @@ class Permutation:
 
 
 def pack(images):
-    """Images packed as a table, the right-hand operand of a chain-kernel product: at
+    """A permutation's images as a table, the right-hand operand of a product: at
     degree n <= 256 a 256-byte table fixing n..255, above 256 the image tuple."""
-    return bytes(images) + _TABLE[len(images):] if len(images) <= 256 else tuple(images)
-
-
-def pack_element(images):
-    """Images packed as an element, which a chain-kernel product acts on: n bytes at
-    degree n <= 256, the image tuple above."""
-    return bytes(images) if len(images) <= 256 else tuple(images)
+    return images + _TABLE[len(images):] if len(images) <= 256 else images
 
 
 def product(degree):
     """The chain kernel's product at a degree: product(n)(a, b) is a * b in the form
-    of a, an element or a table, for b a table. Up to 256 points it is
+    of a, images or a table, for b a table. Up to 256 points it is
     ``bytes.translate``, whose cost grows with the length of a; above, ``compose``."""
     return bytes.translate if degree <= 256 else compose
 
 
 def compose(a, b):
-    """Images of a * b, ``b[a[x]]`` for each x, for two image tuples; an image tuple
-    of degree < 2 is the identity."""
-    if len(a) < 2:
-        return b
+    """Images of a * b, ``b[a[x]]`` for each x, for two image tuples above 256 points."""
     return itemgetter(*a)(b)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegreeMismatch, InvalidInput, NotSubgroup, PointOutOfRange, check
 from .group import PermGroup, _adopting, _Chain, check_points, group_from_generators, on_points, orbit
-from .perm import Partition, Permutation, compose
+from .perm import Partition, Permutation, pack, product
 
 DEFAULT_NODE_BUDGET = 10**8
 ORDER_BOUND = 10**6  # the largest group whose elements minimal_normal_subgroups lists
@@ -451,8 +451,9 @@ class CosetAction:
             raise NotSubgroup("subgroup does not sit inside the group")
         self.group = group
         self.subgroup = subgroup
-        tree = orbit(self._canon(group.identity.images), group.generators,
-                     lambda z, s: self._canon(compose(z, s.images)))
+        self._mul = product(group.degree)
+        tree = orbit(self._canon(group.identity.images), [pack(s.images) for s in group.generators],
+                     lambda z, s: self._canon(self._mul(z, s)))
         self._index = {z: i for i, z in enumerate(tree)}
         self.reps = [Permutation._unchecked(z) for z in tree]
         perms = [self.act(s) for s in group.generators]
@@ -463,7 +464,7 @@ class CosetAction:
         for lv in self.subgroup.chain.levels:
             beta = min(lv.orbit, key=z.__getitem__)
             if beta != lv.point:
-                z = compose(lv.u(beta).images, z)
+                z = self._mul(lv.u(beta).images, pack(z))
         return z
 
     @property
@@ -475,7 +476,8 @@ class CosetAction:
         if p.degree != self.group.degree:
             raise DegreeMismatch(f"degrees {p.degree} and {self.group.degree} differ")
         try:
-            return Permutation([self._index[self._canon(compose(r.images, p.images))] for r in self.reps])
+            table = pack(p.images)
+            return Permutation([self._index[self._canon(self._mul(r.images, table))] for r in self.reps])
         except KeyError:
             raise NotSubgroup("element is not in the group") from None
 

@@ -225,11 +225,12 @@ def test_criterion_7_full_stabiliser_ground_truth(emit):
             )
             grid = CartesianDecomposition([rows, cols])
             stab = full_stabiliser(grid).group
-            parts = set(grid.partitions)
+            # the 9! oracle runs on raw image tuples; only hits become permutations
+            blocks = {frozenset(map(frozenset, p.blocks)) for p in grid.partitions}
             want = [
                 Permutation(images)
                 for images in itertools.permutations(range(n))
-                if {p.apply(Permutation(images)) for p in parts} == parts
+                if {frozenset(frozenset(images[x] for x in b) for b in p) for p in blocks} == blocks
             ]
             assert stab.order() == len(want)
             assert all(stab.contains(x) for x in want)

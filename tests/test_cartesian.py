@@ -10,6 +10,7 @@ from permdec import (
     CartesianDecomposition,
     CartesianSystem,
     DegreeMismatch,
+    InvalidDecomposition,
     InvalidSystem,
     NotInnatelyTransitive,
     NotInvariant,
@@ -46,10 +47,23 @@ def test_grid_is_valid():
 
 
 def test_duplicated_partition_invalid():
-    e = CartesianDecomposition([Partition([(0, 1), (2, 3)]), Partition([(2, 3), (0, 1)])])
-    report = validate_decomposition(e)
-    assert not report.valid
-    assert report.witness is not None  # an intersection of size 2
+    twice = [Partition([(0, 1), (2, 3)]), Partition([(2, 3), (0, 1)])]
+    with pytest.raises(InvalidDecomposition, match="repeated partition"):
+        CartesianDecomposition(twice)
+    assert not is_cartesian_set(twice)  # the choice (B, B) meets in both points of B
+
+
+def test_repeated_one_block_partition_refused():
+    # the block counts multiply to the degree and the block tuples are distinct,
+    # so only the repeat makes this set of partitions no decomposition
+    whole = Partition([(0, 1, 2, 3)])
+    with pytest.raises(InvalidDecomposition, match="repeated partition"):
+        CartesianDecomposition([*GRID.partitions, whole, whole])
+    assert not is_cartesian_set([*GRID.partitions, whole, whole])
+    # a single one-block partition stays valid
+    report = validate_decomposition(CartesianDecomposition([*GRID.partitions, whole]))
+    assert report.valid and report.block_counts == (2, 1, 2)
+    assert is_cartesian_set([*GRID.partitions, whole])
 
 
 def test_natural_decomposition_valid():
@@ -59,11 +73,13 @@ def test_natural_decomposition_valid():
 
 
 def test_validation_needs_no_cap():
-    # 2^30 block choices on 4 points: the four points have distinct index
-    # tuples, so the product scan meets an unused tuple within five steps
-    pairings = [Partition([(0, 1), (2, 3)]), Partition([(0, 2), (1, 3)]),
-                Partition([(0, 3), (1, 2)])]
-    report = validate_decomposition(CartesianDecomposition(pairings * 10))
+    # 2^30 block choices on 8 points: the coordinate partitions of the 2x2x2
+    # grid give the points distinct index tuples, so the product scan meets an
+    # unused tuple within nine steps
+    halves = [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6)]
+    halves += [s for s in combinations(range(8), 4) if s[0] == 0 and s not in halves][:27]
+    report = validate_decomposition(CartesianDecomposition(
+        [Partition([s, [x for x in range(8) if x not in s]]) for s in halves]))
     assert not report.valid and len(report.witness) == 30
     assert not frozenset.intersection(*map(frozenset, report.witness))
     assert validate_decomposition(natural_decomposition((20, 20, 30))).valid
@@ -380,7 +396,12 @@ def test_cartesian_oracle_matches_validation():
     verdicts = []
     for _ in range(300):
         partitions = _random_partition_list(rng)
-        want = validate_decomposition(CartesianDecomposition(partitions)).valid
+        if len(set(partitions)) < len(partitions):
+            with pytest.raises(InvalidDecomposition):
+                CartesianDecomposition(partitions)
+            want = False
+        else:
+            want = validate_decomposition(CartesianDecomposition(partitions)).valid
         assert is_cartesian_set(partitions) == want, [p.blocks for p in partitions]
         verdicts.append(want)
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50

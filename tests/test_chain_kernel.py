@@ -34,9 +34,9 @@ def _fingerprint(chain):
     payload = repr([
         (
             lv.point,
-            [g.images for g in lv.gens],
+            [tuple(g.images) for g in lv.gens],
             lv.orbit,
-            [lv.u(b).images for b in lv.orbit],
+            [tuple(lv.u(b).images) for b in lv.orbit],
         )
         for lv in chain.levels
     ])
@@ -128,9 +128,9 @@ def test_chain_is_pinned(name, make, base, orbits, digest):
 def _assert_inverse_transversals(chain):
     for lv in chain.levels:
         assert lv.u(lv.point).is_identity()
-        assert set(lv.inv) == set(lv.packed) == set(lv.transversal) == set(lv.orbit)
+        assert set(lv.inv) == set(lv.transversal) == set(lv.orbit)
         for x in lv.orbit:
-            assert tuple(lv.packed[x]) == lv.u(x).images
+            assert type(lv.u(x).images) is type(lv.inv[x])  # bytes up to 256 points, else tuple
             assert lv.u_inv(x) == lv.u(x).inverse()
 
 
@@ -544,7 +544,7 @@ def test_derived_groups_leave_the_parent_chain_unchanged():
 def test_products_at_small_degree(n):
     ident = Permutation.identity(n)
     assert ident.is_identity()
-    assert (ident * ident).images == tuple(range(n))
+    assert tuple((ident * ident).images) == tuple(range(n))
     assert (ident * ident).is_identity()
     assert ident.inverse() == ident
     assert PermGroup((), degree=n).order() == 1
@@ -555,14 +555,14 @@ def test_degree_two_swap():
     s = Permutation([1, 0])
     assert not s.is_identity()
     assert (s * s).is_identity()
-    assert (s * s).images == (0, 1)
+    assert tuple((s * s).images) == (0, 1)
     assert s * Permutation.identity(2) == s
     group = PermGroup([s])
     assert group.order() == 2
     assert group.contains(s)
 
 
-@pytest.mark.parametrize("m,n", [(0, 1), (1, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("m,n", [(0, 1), (1, 2), (2, 3), (3, 2), (255, 256), (256, 257), (257, 256)])
 def test_product_degree_mismatch(m, n):
     with pytest.raises(DegreeMismatch):
         Permutation.identity(m) * Permutation.identity(n)
@@ -591,8 +591,8 @@ def test_chain_above_256_points_is_the_packed_one():
         assert type(lv.inv[lv.point]) is bytes and type(lw.inv[lw.point]) is tuple
         assert lv.orbit == lw.orbit
         for x in lv.orbit:
-            assert lv.u(x).images == lw.u(x).images[:256]
-            assert lv.u_inv(x).images == lw.u_inv(x).images[:256]
+            assert tuple(lv.u(x).images) == lw.u(x).images[:256]
+            assert tuple(lv.u_inv(x).images) == lw.u_inv(x).images[:256]
     _assert_inverse_transversals(small.chain)
     _assert_inverse_transversals(padded.chain)
 

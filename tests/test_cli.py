@@ -23,7 +23,8 @@ V4 = {"degree": 4, "generators": KLEIN["generators"]}  # no name: a system print
 C2A = {"degree": 4, "generators": [[1, 0, 3, 2]]}
 C2B = {"degree": 4, "generators": [[2, 3, 0, 1]]}
 GRID = [[[0, 1], [2, 3]], [[0, 2], [1, 3]]]
-BAD = [[[0, 1], [2, 3]], [[2, 3], [0, 1]]]
+BAD = [[[0, 1], [2, 3]], [[0, 1, 2], [3]]]  # points 0 and 1 share their blocks
+REPEATED = [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 1, 2, 3]], [[0, 1, 2, 3]]]
 SYSTEM = {
     "group": KLEIN,
     "base_point": 0,
@@ -54,6 +55,7 @@ def files(tmp_path):
         "c2b": write("c2b", C2B),
         "grid": write("grid", GRID),
         "bad": write("bad", BAD),
+        "repeated": write("repeated", REPEATED),
         "system": write("system", SYSTEM),
         "bad_system": write("bad_system", BAD_SYSTEM),
     }
@@ -84,6 +86,12 @@ def test_verify_decomp_with_group(capsys, files):
 def test_verify_decomp_invalid(capsys, files):
     code, data = invoke(capsys, ["verify-decomp", "--decomp", files["bad"]])
     assert code == 1 and not data["valid"]
+
+
+def test_verify_decomp_refuses_a_repeated_partition(capsys, files):
+    code, data = invoke(capsys, ["verify-decomp", "--decomp", files["repeated"]])
+    assert code == 1 and data == {
+        "error": "InvalidDecomposition", "message": "repeated partition Partition([[0, 1, 2, 3]])"}
 
 
 def test_verify_system(capsys, files):
@@ -343,6 +351,18 @@ def test_wreath_with_a_long_top_is_refused_before_its_degree():
     assert done.returncode == 1, done.stderr
     data = json.loads(done.stdout)
     assert data["error"] == "BudgetExceeded" and "wr:7^30000000" in data["message"]
+
+
+@pytest.mark.parametrize("argv", [["atlas", "verify", "A6_36"], ["corpus"]], ids=["A6_36", "corpus"])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # a Permutation hashes as an int, not as bytes, whose hash is salted per process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = {subprocess.run([sys.executable, "-m", "permdec.cli", *argv],
+                              env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                              timeout=120, check=True).stdout
+               for seed in ("0", "1")}
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("argv", [["corpus"], ["atlas", "list"], ["atlas", "verify", "KLEIN_GRID"]],

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,11 +8,13 @@ from permdec import (
     InvalidInput,
     NonBijection,
     Partition,
+    PermGroup,
     Permutation,
     PointOutOfRange,
 )
 
-from permdec.perm import pack, pack_element, product
+from permdec.io import dump_json, group_from_json, group_to_json
+from permdec.perm import pack, product
 
 C = Permutation.from_cycles
 
@@ -25,6 +28,9 @@ def test_constructor_rejects_non_bijections():
         Permutation([0, 1, "2"])
     with pytest.raises(NonBijection):  # JSON true and false are not points
         Permutation([True, False])
+    for images in ([1.0, 0], [0, 0], [-1, 0], [*range(1, 256), 256]):
+        with pytest.raises(NonBijection):
+            Permutation(images)
 
 
 def test_composition_is_left_to_right():
@@ -32,7 +38,7 @@ def test_composition_is_left_to_right():
     q = C(3, [(1, 2)])
     # x^(pq) = (x^p)^q
     assert (p * q).images[0] == q.images[p.images[0]] == 2
-    assert (p * q).images == tuple(q.images[v] for v in p.images)
+    assert tuple((p * q).images) == tuple(q.images[v] for v in p.images)
 
 
 def test_inverse_and_identity():
@@ -110,15 +116,42 @@ def test_partition_apply():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 24, 255, 256, 257])
 def test_packed_product_is_the_tuple_product(n):
-    # up to 256 points pack gives a table fixing n..255 and pack_element n bytes,
-    # above it both give the image tuple; a product keeps its left operand's form
+    # up to 256 points pack gives a table fixing n..255 and images are n bytes,
+    # above it both are the image tuple; a product keeps its left operand's form
     rng = random.Random(n)
     mul = product(n)
     for _ in range(20):
-        a, b = rng.sample(range(n), n), rng.sample(range(n), n)
-        want = (Permutation(a) * Permutation(b)).images
-        element, table = mul(pack_element(a), pack(b)), mul(pack(a), pack(b))
+        a, b = Permutation(rng.sample(range(n), n)), Permutation(rng.sample(range(n), n))
+        want = tuple(b.images[x] for x in a.images)
+        element, table = mul(a.images, pack(b.images)), mul(pack(a.images), pack(b.images))
         assert type(element) is type(table) is (bytes if n <= 256 else tuple)
         assert tuple(element) == want
         assert tuple(table[:n]) == want
         assert tuple(table[n:]) == tuple(range(n, 256))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_arithmetic_at_the_packing_boundary_matches_image_tuples(n):
+    # images are n bytes up to 256 points and the image tuple above; every
+    # operation agrees with its definition on image tuples
+    rng = random.Random(n)
+    for _ in range(10):
+        a, b = tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))
+        p, q = Permutation(a), Permutation(b)
+        assert type(p.images) is (bytes if n <= 256 else tuple)
+        assert tuple((p * q).images) == tuple(b[x] for x in a)
+        assert tuple(p.inverse().images) == tuple(sorted(range(n), key=a.__getitem__))
+        assert (p * p.inverse()).is_identity() and not p.is_identity()
+        assert p == Permutation(list(a)) and p != q
+        assert hash(p) == hash(int.from_bytes(bytes(a), "little") if n <= 256 else a)
+    assert Permutation(range(n)).is_identity() and Permutation(range(n)) == Permutation.identity(n)
+    assert len({Permutation(x) for x in (a, b, a, list(b))}) == 2
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_json_round_trip_at_the_packing_boundary(n):
+    rng = random.Random(n)
+    g = PermGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], degree=n)
+    data = json.loads(dump_json(group_to_json(g)))
+    assert data["generators"] == [list(p.images) for p in g.generators]
+    assert group_from_json(data).generators == g.generators
