@@ -25,8 +25,8 @@ from .errors import (
     check,
 )
 from .factor import _eq2
-from .group import PermGroup, check_points
-from .perm import Partition
+from .group import PermGroup
+from .perm import Partition, check_points
 from .structure import (
     ORDER_BOUND,
     intersect,  # noqa: F401  re-exported; perfbench's tracer test wraps cartesian.intersect

@@ -18,7 +18,7 @@ class DegreeMismatch(PermdecError):
 
 
 class PointOutOfRange(PermdecError):
-    """A point index is outside 0..degree-1."""
+    """A point is not an int in 0..degree-1."""
 
 
 class NotTransitive(PermdecError):

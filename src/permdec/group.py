@@ -19,12 +19,14 @@ explicit stack. What is acted on (u_x, Schreier generators, sift residues,
 points. What acts from the right (u_x^-1, each generator and its inverse)
 is kept as a table (``perm.pack``, 256 bytes up to 256 points). So a
 product, bound once per chain by degree (``perm.product``), is one
-``bytes.translate``; above 256 points both are the image tuple. u_x and
-u_x^-1 are built along the Schreier tree, u_x as the ``Permutation``
-u_parent * s, whose images are the level's only copy of u_x. A sift or
-Schreier generator skips each level whose base point it already fixes, as
-the transversal element there is the identity. A sift stops once its
-residue is the identity.
+``bytes.translate``; above 256 points both are the image tuple. A level
+keeps one list of (generator, table, inverse table) entries and a Schreier
+tree {x: (parent, generator index)}, along which u_x is the ``Permutation``
+u_parent * s, the level's only copy of u_x, and u_x^-1 the table s^-1 *
+u_parent^-1. Outside this module a level is read only through ``point``,
+``orbit`` and ``u``. A sift or Schreier generator skips each level whose
+base point it already fixes, as the transversal element there is the
+identity. A sift stops once its residue is the identity.
 
 A re-sweep is incremental. Each level keeps its Schreier tree, and a new
 tree reuses u_x and u_x^-1 for each point x whose tree edge and every
@@ -59,14 +61,8 @@ from __future__ import annotations
 
 import copy
 
-from .errors import DegreeMismatch, InvalidInput, NotTransitive, PointOutOfRange
-from .perm import Permutation, identity_images, pack, product
-
-
-def check_points(degree, points):
-    for p in points:
-        if not 0 <= p < degree:
-            raise PointOutOfRange(f"point {p} outside 0..{degree - 1}")
+from .errors import DegreeMismatch, InvalidInput, NotTransitive
+from .perm import Permutation, check_count, check_points, identity_images, pack, product
 
 
 def on_points(x, s):
@@ -92,33 +88,27 @@ def orbit(start, gens, act):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "tables", "orbit", "tree", "transversal", "inv", "swept")
+    __slots__ = ("point", "gens", "orbit", "tree", "transversal", "inv", "swept")
 
     def __init__(self, point):
         self.point = point
-        self.gens = []
-        self.tables = []  # (table, inverse table) of each generator
+        self.gens = []  # (generator, table, inverse table)
         self.orbit = [point]
-        self.tree = {}
+        self.tree = {}  # {x: (parent, generator index)}
         self.transversal = {}
         self.inv = {}  # u_x^-1 as tables
         self.swept = 0  # generators the level had when its last sweep finished
 
     def u(self, beta):
-        """u_beta, with point^u_beta = beta, for beta in the orbit."""
-        return self.transversal[beta]
-
-    def u_inv(self, beta):
-        """u_beta^-1, or None when beta is off the orbit."""
-        images = self.inv.get(beta)
-        return None if images is None else Permutation._unchecked(images[:self.transversal[beta].degree])
+        """u_beta, with point^u_beta = beta, or None when beta is off the orbit."""
+        return self.transversal.get(beta)
 
     def recompute_orbit(self, chain):
         """Rebuild the Schreier tree; return the points whose tree path is unchanged,
         which keep their u_x and u_x^-1."""
         old_tree, old_u, old_inv = self.tree, self.transversal, self.inv
-        self.tree = tree = orbit(self.point, list(zip(self.gens, self.tables)),
-                                 lambda x, s: s[1][0][x])
+        gens = self.gens
+        self.tree = tree = orbit(self.point, range(len(gens)), lambda x, j: gens[j][1][x])
         self.orbit = list(tree)
         self.transversal = u = {}
         self.inv = inv = {}
@@ -126,11 +116,12 @@ class _Level:
         mul = chain.mul
         for x, edge in tree.items():  # each parent comes before its children
             if edge is None:
-                u[x], inv[x] = Permutation.identity(chain.degree), chain.identity_table
+                u[x], inv[x] = Permutation._unchecked(chain.identity), chain.identity_table
             elif edge[0] in kept and old_tree.get(x) == edge:
                 u[x], inv[x] = old_u[x], old_inv[x]
             else:
-                parent, (s, (_, s_inv)) = edge
+                parent, j = edge
+                s, _, s_inv = gens[j]
                 u[x] = u[parent] * s
                 inv[x] = mul(s_inv, inv[parent])  # u_x^-1 = s^-1 * u_parent^-1
                 continue
@@ -172,13 +163,12 @@ class _Chain:
 
     def _add_gen(self, g, start):
         """Append g to levels start..k, k the first whose point g moves; return that range."""
-        tables = pack(g.images), pack(g.inverse().images)
+        entry = g, pack(g.images), pack(g.inverse().images)
         k = start
         while True:
             if k == len(self.levels):
                 self.levels.append(_Level(self._new_level_point(g)))
-            self.levels[k].gens.append(g)
-            self.levels[k].tables.append(tables)
+            self.levels[k].gens.append(entry)
             if g.images[self.levels[k].point] != self.levels[k].point:
                 return range(start, k + 1)
             k += 1
@@ -224,7 +214,7 @@ class _Chain:
         level = self.levels[i]
         swept, level.swept = level.swept, 0  # an unfinished sweep leaves nothing to skip
         kept = level.recompute_orbit(self)
-        gens = [s for s, _ in level.tables]
+        gens = [s for _, s, _ in level.gens]
         mul, identity, n = self.mul, self.identity, self.degree
         point = level.point
         for beta in level.orbit:
@@ -283,7 +273,7 @@ class PermGroup:
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-        self.degree = degree
+        self.degree = check_count(degree, "degree")
         self.generators = generators
         self.name = name
         self._chain = None
@@ -302,7 +292,7 @@ class PermGroup:
         cached one if its base does, else one from its strong generators."""
         if self.chain.base[:len(base_hint)] == tuple(base_hint):
             return self.chain
-        strong = {g.images: g for level in self.chain.levels for g in level.gens}
+        strong = {g.images: g for level in self.chain.levels for g, _, _ in level.gens}
         return _Chain(self.degree, strong.values(), base_hint=base_hint, order=self.order())
 
     @property
@@ -357,7 +347,8 @@ class PermGroup:
             chain = self.chain_with_base((point,))
             stab = copy.copy(chain)  # shares the levels it keeps
             stab.levels = chain.levels[1:]
-            self._rebased[point] = chain, _adopting(stab.levels[0].gens if stab.levels else (), stab)
+            gens = [g for level in stab.levels[:1] for g, _, _ in level.gens]
+            self._rebased[point] = chain, _adopting(gens, stab)
         return self._rebased[point]
 
     # comparisons --------------------------------------------------------------

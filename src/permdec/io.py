@@ -16,7 +16,7 @@ import pathlib
 from .cartesian import CartesianDecomposition, CartesianSystem
 from .errors import InvalidInput
 from .group import PermGroup
-from .perm import Partition, Permutation
+from .perm import Partition, Permutation, check_count
 
 
 def group_to_json(g):
@@ -34,12 +34,6 @@ def fields(data, *keys):
         raise InvalidInput(f"expected an object with {', '.join(keys)}, got {data!r:.80}") from exc
 
 
-def _count(value, what):
-    if type(value) is not int or value < 0:
-        raise InvalidInput(f"{what} must be a non-negative integer, got {value!r:.80}")
-    return value
-
-
 def _perms(image_lists):
     try:
         return [Permutation(images) for images in image_lists]
@@ -49,7 +43,7 @@ def _perms(image_lists):
 
 def group_from_json(data):
     degree, generators = fields(data, "degree", "generators")
-    return PermGroup(_perms(generators), degree=_count(degree, "degree"), name=data.get("name"))
+    return PermGroup(_perms(generators), degree=check_count(degree, "degree"), name=data.get("name"))
 
 
 def decomposition_from_json(data):
@@ -65,7 +59,7 @@ def system_from_json(data):
     group = group_from_json(group)
     return CartesianSystem(
         group,
-        _count(base_point, "base_point"),
+        check_count(base_point, "base_point"),
         [PermGroup(_perms(gens), degree=group.degree) for gens in subgroups],
     )
 

@@ -18,6 +18,20 @@ from .errors import DegreeMismatch, InvalidInput, NonBijection, PointOutOfRange,
 _TABLE = bytes(range(256))  # the identity table
 
 
+def check_points(degree, points):
+    """Refuse any point that is not an int in 0..degree-1, bools included."""
+    for p in points:
+        if type(p) is not int or not 0 <= p < degree:
+            raise PointOutOfRange(f"point {p!r} outside 0..{degree - 1}")
+
+
+def check_count(value, what):
+    """value, refused unless it is a non-negative int; what names it in the error."""
+    if type(value) is not int or value < 0:
+        raise InvalidInput(f"{what} must be a non-negative integer, got {value!r:.80}")
+    return value
+
+
 def identity_images(n):
     """The images of the degree-n identity in the form a permutation keeps."""
     return _TABLE[:n] if n <= 256 else tuple(range(n))
@@ -42,7 +56,7 @@ class Permutation:
 
     @staticmethod
     def identity(n):
-        return Permutation._unchecked(identity_images(n))
+        return Permutation._unchecked(identity_images(check_count(n, "degree")))
 
     @staticmethod
     def _unchecked(images):
@@ -56,9 +70,7 @@ class Permutation:
         """Build a degree-n permutation from disjoint (or sequential) cycles."""
         images = list(range(n))
         for cycle in cycles:
-            for v in cycle:
-                if not 0 <= v < n:
-                    raise PointOutOfRange(f"point {v} outside 0..{n - 1}")
+            check_points(n, cycle)
             for i, v in enumerate(cycle):
                 images[v] = cycle[(i + 1) % len(cycle)]
         return Permutation(images)
@@ -70,8 +82,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, point):
-        if not 0 <= point < len(self.images):
-            raise PointOutOfRange(f"point {point} outside 0..{len(self.images) - 1}")
+        check_points(len(self.images), (point,))
         return self.images[point]
 
     def is_identity(self):
@@ -227,8 +238,7 @@ class Partition:
         return out
 
     def block_containing(self, point):
-        if not 0 <= point < self.degree:
-            raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
+        check_points(self.degree, (point,))
         block = next((b for b in self.blocks if point in b), None)
         check(block is not None, f"no block of a partition of 0..{self.degree - 1} holds {point}")
         return block

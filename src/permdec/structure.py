@@ -44,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegreeMismatch, InvalidInput, NotSubgroup, PointOutOfRange, check
-from .group import PermGroup, _adopting, _Chain, check_points, group_from_generators, on_points, orbit
-from .perm import Partition, Permutation, pack, product
+from .group import PermGroup, _adopting, _Chain, group_from_generators, on_points, orbit
+from .perm import Partition, Permutation, check_points, pack, product
 
 DEFAULT_NODE_BUDGET = 10**8
 ORDER_BOUND = 10**6  # the largest group whose elements minimal_normal_subgroups lists
@@ -193,10 +193,10 @@ def _in_coset(chain, v):
             return state if target == point else None
         lv = chain.levels[level]
         check(lv.point == point, "chain base out of step with constraints")
-        u_inv = lv.u_inv(target)
-        if u_inv is None:
+        u = lv.u(target)
+        if u is None:
             return None
-        return level + 1, w_inv if target == point else w_inv * u_inv
+        return level + 1, w_inv if target == point else w_inv * u.inverse()
 
     return refine, lambda x: chain.contains(x * v), (0, Permutation.identity(chain.degree))
 

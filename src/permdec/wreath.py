@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cartesian import CartesianDecomposition, is_invariant, validate_decomposition
 from .errors import BudgetExceeded, InvalidDecomposition, InvalidInput, PointOutOfRange, check
 from .group import PermGroup
-from .perm import Partition, Permutation
+from .perm import Partition, Permutation, check_points
 
 DEGREE_BUDGET = 10**5
 
@@ -57,8 +57,7 @@ def encode(spec, coords):
 
 def decode(spec, point):
     """Point -> tuple of coordinates."""
-    if type(point) is not int or not 0 <= point < spec.degree:
-        raise PointOutOfRange(f"point {point!r} outside 0..{spec.degree - 1}")
+    check_points(spec.degree, (point,))
     radices = spec.radices
     return tuple((point // s) % r for s, r in zip(_strides(radices), radices))
 

@@ -36,6 +36,18 @@ def test_spread_wins_and_failures():
     assert ops["change_better_pairs"] == "3/5" and ops["within_bound"]
     assert out["failed"] == {"parent": "0/50", "change": "1/50"}
     assert "claim_met" not in wall
+    assert not wall["resolved"] and ops["resolved"]  # parent IQR 2.0 against a bound of 0.75
+
+
+@pytest.mark.parametrize("change,resolved", [
+    ([2.0, 2.5, 2.5, 2.0, 2.9], True),  # every change run beats every parent run
+    ([2.0, 2.5, 2.5, 2.0, 3.1], False),  # 3.1 loses to the parent's 3.0
+])
+def test_a_parent_spread_wider_than_the_bound_leaves_the_row_unresolved(change, resolved):
+    parent = [3.0, 4.0, 5.0, 6.0, 7.0]  # IQR 2.0, above the bound's 0.25 * 5.0
+    runs = _pairs([(p, 10) for p in parent], [(c, 10) for c in change])
+    wall = bench_pairs.summarise({"w": runs}, METRICS)["w"]["wall_s"]
+    assert wall["within_bound"] and wall["resolved"] is resolved
 
 
 def test_bound_is_a_fraction_of_the_parent_median():

@@ -13,12 +13,15 @@ from permdec import (
     DegreeMismatch,
     PermGroup,
     Permutation,
+    coset_intersection,
     group_from_generators,
     intersect,
     normal_closure,
+    setwise_stabiliser,
 )
 from permdec import group as group_module
 from permdec.brute import mulclose
+from permdec.perm import pack
 
 C = Permutation.from_cycles
 
@@ -34,7 +37,7 @@ def _fingerprint(chain):
     payload = repr([
         (
             lv.point,
-            [tuple(g.images) for g in lv.gens],
+            [tuple(g.images) for g, _, _ in lv.gens],
             lv.orbit,
             [tuple(lv.u(b).images) for b in lv.orbit],
         )
@@ -131,7 +134,7 @@ def _assert_inverse_transversals(chain):
         assert set(lv.inv) == set(lv.transversal) == set(lv.orbit)
         for x in lv.orbit:
             assert type(lv.u(x).images) is type(lv.inv[x])  # bytes up to 256 points, else tuple
-            assert lv.u_inv(x) == lv.u(x).inverse()
+            assert lv.inv[x] == pack(lv.u(x).inverse().images)
 
 
 @pytest.mark.parametrize("make", [p[1] for p in PINNED], ids=[p[0] for p in PINNED])
@@ -442,7 +445,7 @@ def test_rebase_keeps_the_prefix_and_the_group(gens_n, data):
     assert chain.order() == group.order() == len(closure)
     _assert_inverse_transversals(chain)
     for i, lv in enumerate(chain.levels):
-        assert all(g.images[b] == b for g in lv.gens for b in chain.base[:i])
+        assert all(g.images[b] == b for g, _, _ in lv.gens for b in chain.base[:i])
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     for x in [*(_random_perm(n, rng) for _ in range(20)), *closure]:
         assert chain.contains(x) == (x in closure)
@@ -592,7 +595,7 @@ def test_chain_above_256_points_is_the_packed_one():
         assert lv.orbit == lw.orbit
         for x in lv.orbit:
             assert tuple(lv.u(x).images) == lw.u(x).images[:256]
-            assert tuple(lv.u_inv(x).images) == lw.u_inv(x).images[:256]
+            assert tuple(lv.u(x).inverse().images) == lw.u(x).inverse().images[:256]
     _assert_inverse_transversals(small.chain)
     _assert_inverse_transversals(padded.chain)
 
@@ -615,3 +618,38 @@ def test_chain_above_256_points_is_the_packed_one():
     queries += [Permutation([7 * x % 255 for x in range(255)])]  # 7 is not a power of 2 mod 255
     queries += [Permutation(rng.sample(range(255), 255)) for _ in range(20)]
     assert [below.contains(q) for q in queries] == [True] * 20 + [False] * 21
+
+
+def _on_z256(pad, *maps):
+    """The group of the maps of Z/256, each with pad fixed points after 255."""
+    fixed = list(range(256, 256 + pad))
+    return PermGroup([Permutation([f(x) % 256 for x in range(256)] + fixed) for f in maps],
+                     degree=256 + pad)
+
+
+def _searches(pad):
+    """intersect, setwise_stabiliser and the coset search on Z/256 with pad fixed points;
+    each answer's images on the first 256 points."""
+    affine = _affine_256(pad)
+    shifts = _on_z256(pad, lambda x: x + 1)
+    b = _on_z256(pad, lambda x: 3 * x, lambda x: x + 2)
+    even_shifts = _on_z256(pad, lambda x: x + 2)
+    t = _on_z256(pad, lambda x: 3 * x).generators[0]
+    found = [intersect(shifts, b), setwise_stabiliser(affine, {0, 128})]
+    hit = coset_intersection([(shifts, t), (b, b.identity)])
+    miss = coset_intersection([(shifts, t), (even_shifts, even_shifts.identity)])
+    assert miss is None  # shifts * t multiplies by 3, even_shifts by 1
+    assert b.contains(hit.representative) and shifts.contains(hit.representative * t.inverse())
+    for x in (hit.representative, *(g for k in (*found, hit.subgroup) for g in k.generators)):
+        assert tuple(x.images[256:]) == tuple(range(256, 256 + pad))
+    return ([k.order() for k in (*found, hit.subgroup)],
+            [[tuple(g.images[:256]) for g in k.generators] for k in (*found, hit.subgroup)],
+            tuple(hit.representative.images[:256]))
+
+
+def test_backtrack_searches_above_256_points_agree_with_the_packed_ones():
+    # above 256 points _in_coset inverts u_x on image tuples, up to 256 on bytes
+    small, padded = _searches(0), _searches(4)
+    assert small == padded
+    # shifts by even numbers; x -> ax + b with b in {0, 128}; the coset of the even shifts
+    assert small[0] == [128, 128, 128]

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from permdec import (
+    CartesianDecomposition,
+    CartesianSystem,
     DegreeMismatch,
     InvalidInput,
     NonBijection,
@@ -11,10 +13,13 @@ from permdec import (
     PermGroup,
     Permutation,
     PointOutOfRange,
+    setwise_stabiliser,
+    to_system,
 )
 
 from permdec.io import dump_json, group_from_json, group_to_json
 from permdec.perm import pack, product
+from permdec.wreath import WreathSpec, decode
 
 C = Permutation.from_cycles
 
@@ -74,6 +79,39 @@ def test_call_checks_range():
     assert p(0) == 1
     with pytest.raises(PointOutOfRange):
         p(3)
+
+
+KLEIN = PermGroup([C(4, [(0, 1), (2, 3)]), C(4, [(0, 2), (1, 3)])])
+GRID = CartesianDecomposition([Partition([[0, 1], [2, 3]]), Partition([[0, 2], [1, 3]])])
+POINT_CALLS = {
+    "call": lambda x: KLEIN.generators[0](x),
+    "from_cycles": lambda x: C(4, [(x, 0)]),
+    "orbit": KLEIN.orbit,
+    "point_stabiliser": KLEIN.point_stabiliser,
+    "block_containing": GRID.partitions[0].block_containing,
+    "setwise_stabiliser": lambda x: setwise_stabiliser(KLEIN, [x]),
+    "to_system": lambda x: to_system(KLEIN, GRID, x),
+    "CartesianSystem": lambda x: CartesianSystem(KLEIN, x, [KLEIN]),
+    "decode": lambda x: decode(WreathSpec(2, 2), x),
+}
+
+
+@pytest.mark.parametrize("point", [True, False, 1.5, 0.0, "1", None, 4, -1])
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS)
+def test_a_point_is_an_int_in_range(call, point):
+    # one check for every point argument; bools and floats are not points
+    with pytest.raises(PointOutOfRange) as info:
+        call(point)
+    assert str(info.value) == f"point {point!r} outside 0..3"
+
+
+@pytest.mark.parametrize("degree", [-1, -257, 2.0, True, "4", None])
+def test_a_degree_is_a_non_negative_int(degree):
+    # the identity of degree -1 once had 255 points, from the table's last 255 bytes
+    with pytest.raises(InvalidInput):
+        Permutation.identity(degree)
+    with pytest.raises(InvalidInput):
+        PermGroup([], degree=degree)
 
 
 def test_conjugate_moves_stabilised_set():

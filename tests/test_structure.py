@@ -287,14 +287,17 @@ def test_structure_raises_no_assertion_errors():
     assert found == []
 
 
+STORAGE = {"gens", "transversal", "packed", "inv", "u_inv", "tree", "swept", "tables"}
+
+
 def test_only_group_reads_level_storage():
-    # a level's transversal format sits behind _Level.u and _Level.u_inv
+    # outside group.py a level is read only through point, orbit and u
     found = []
     for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
         if path.name == "group.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in {"transversal", "packed", "inv", "tree", "swept", "tables"}:
+            if isinstance(node, ast.Attribute) and node.attr in STORAGE:
                 found.append((path.name, node.lineno))
     assert found == []
 

@@ -13,10 +13,13 @@ Without ``--change`` the change is the working tree's tracked files
 clean). The workloads, run length, metrics, their direction and their
 bounds are read from the change's ``BENCHMARK.json``. The output holds, per workload, side and
 end-to-end metric, the median, quartiles and every sample, the pairs the
-change won (ties count for neither) and whether its median is within the
-bound; per workload, failed and attempted operations per side; and, for
-a claimed metric, whether the change won at least nine pairs in ten by
-more, in the medians, than the parent's interquartile range.
+change won (ties count for neither), whether its median is within the
+bound, and whether the runs resolve the bound at all: they do not when the
+parent's interquartile range exceeds the bound's share of its median and
+some change run fails to beat some parent run; per workload, failed and
+attempted operations per side; and, for a claimed metric, whether the
+change won at least nine pairs in ten by more, in the medians, than the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -84,8 +87,10 @@ def summarise(pairs, metrics, claim=None):
             row["change_better_pairs"] = f"{wins}/{len(runs)}"
             row["bound"] = bound
             row["within_bound"] = sign * (change - parent) <= bound * abs(parent)
+            iqr = row["parent"]["q3"] - row["parent"]["q1"]
+            row["resolved"] = iqr <= bound * abs(parent) or all(
+                sign * (c - p) < 0 for p in sides["parent"] for c in sides["change"])
             if claim == (workload, metric):
-                iqr = row["parent"]["q3"] - row["parent"]["q1"]
                 row["claim_met"] = 10 * wins >= 9 * len(runs) and sign * (parent - change) > iqr
             entry[metric] = row
         entry["failed"] = {s: f"{sum(r[s]['failed'] for r in runs)}/"
