@@ -41,6 +41,18 @@ too, and the levels below are complete while level i sweeps. Sifting either
 kind of pair would give the identity and add nothing, so every chain is the
 one a sweep over all pairs builds.
 
+A sweep also ends, as a finished one, once ``_proven_complete`` proves level
+i complete, asked before the first pair and after each residue's levels are
+completed again. Level i holds exactly the generators fixing b_0..b_{i-1}, so
+their group H_i lies in G_i, the stabiliser of b_0..b_{i-1}, and |H_i| >=
+|O_i| |O_{i+1}| ..., for the orbits O_j = b_j^H_j, with equality just when the
+levels from i are complete. (a) If level i's generators fix every point off
+O_i, |H_i| <= |O_i|!, a product that needs |O_{i+1}| = |O_i| - 1. (b) As
+|O_j| <= |G_j : G_{j+1}|, a product equal to a known |G| makes every orbit
+full and the base's stabiliser trivial, so H_j = G_j, deepest level first.
+A pair left unsifted then gives an element of H_{i+1}, the chain is a full
+sweep's, and ``swept`` may skip that pair later.
+
 ``_Chain.extend`` re-sweeps only the levels a new generator touches; only
 ``group_from_generators`` and ``normal_closure`` extend, each a chain it
 then adopts. A point stabiliser adopts levels 1 onward of
@@ -48,18 +60,14 @@ then adopts. A point stabiliser adopts levels 1 onward of
 whose callers only read it. Its level 0 is the point's orbit transversal, so
 ``_Level.recompute_orbit`` makes every transversal element. The group keeps
 the chain, made at most once per point: the cached chain if its base begins
-there, else a rebuild from the cached chain's strong generators, not swept
-when its orbit lengths multiply to the known order |G|. The stop is exact:
-level i holds exactly the generators fixing b_0..b_{i-1}, so their group H_i
-lies in G_i, the stabiliser of b_0..b_{i-1}, and H_{i+1} lies in H_i. As
-|b_i^H_i| <= |G_i : G_{i+1}|, a product equal to |G| makes every orbit full
-and the stabiliser of the base trivial; then, deepest level first,
-|H_i| >= |b_i^H_i| |H_{i+1}| = |G_i|, so every H_i is the full G_i.
+there, else a rebuild from the cached chain's strong generators, given |G|
+and not swept when its laid-out orbits reach it, by (b).
 """
 
 from __future__ import annotations
 
 import copy
+from math import factorial, prod
 
 from .errors import DegreeMismatch, InvalidInput, NotTransitive
 from .perm import Permutation, check_count, check_points, identity_images, pack, product
@@ -133,9 +141,10 @@ class _Chain:
     """Stabiliser chain: level i generates the stabiliser of base[0..i-1]."""
 
     def __init__(self, degree, generators, base_hint=(), order=None):
-        """Given the group's order, no level is swept if the laid-out orbits reach it."""
+        """Given the group's order, sweeps end, or never start, once the orbits reach it."""
         self.degree = degree
         self.levels = []
+        self._order = order
         self._hint = list(base_hint)
         self.mul = product(degree)
         self.identity = identity_images(degree)
@@ -217,12 +226,15 @@ class _Chain:
         gens = [s for _, s, _ in level.gens]
         mul, identity, n = self.mul, self.identity, self.degree
         point = level.point
+        done = self._proven_complete(i)
         for beta in level.orbit:
+            if done:
+                break
             u = level.transversal[beta].images
             sifted = swept if beta in kept else 0  # pairs the last sweep sifted
             for j, s in enumerate(gens):  # u_point is the identity
                 gamma = s[beta]
-                if j < sifted and gamma in kept or gamma == beta == point:
+                if done or j < sifted and gamma in kept or gamma == beta == point:
                     continue
                 sg = s[:n] if beta == point else mul(u, s)
                 if gamma != point:
@@ -232,13 +244,22 @@ class _Chain:
                 residue = self._strip_images(sg, i + 1)
                 if residue != identity:
                     yield self._add_gen(Permutation._unchecked(residue), i + 1)
+                    done = self._proven_complete(i)
         level.swept = len(gens)
 
+    def _proven_complete(self, i):
+        """Whether level i is complete, the levels below being so: (a) or (b) of the module doc."""
+        if self._order is not None and self.order() == self._order:
+            return True
+        levels, m = self.levels, len(self.levels[i].orbit)
+        if i + 1 == len(levels) or len(levels[i + 1].orbit) != m - 1 or prod(
+                len(level.orbit) for level in levels[i + 1:]) != factorial(m - 1):
+            return False
+        off = set(range(self.degree)).difference(levels[i].orbit, [lv.point for lv in levels[:i]])
+        return all(s[x] == x for _, s, _ in levels[i].gens for x in off)
+
     def order(self):
-        out = 1
-        for level in self.levels:
-            out *= len(level.orbit)
-        return out
+        return prod(len(level.orbit) for level in self.levels)
 
     def contains(self, g):
         if g.degree != self.degree:

@@ -10,7 +10,7 @@ table (``pack``) and an inverse one ``bytes.maketrans``, up to 256 points.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 from operator import itemgetter
 
 from .errors import DegreeMismatch, InvalidInput, NonBijection, PointOutOfRange, check
@@ -45,12 +45,24 @@ class Permutation:
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
-        seen = [False] * n
-        for v in images:
-            if type(v) is not int or not 0 <= v < n or seen[v]:
+        if n <= 256:
+            try:  # checked in C: bytes() refuses non-ints and points outside 0..255
+                a = bytes(images)
+            except (TypeError, ValueError):
+                a = None
+            # the type count (in a list: tuples grown from an iterator pile up on CPython's
+            # free lists) refuses bools; a permutation of 0..n-1 is undone by its inverse table
+            if a is None or list(map(type, images)).count(int) != n or a.translate(
+                    bytes.maketrans(a, _TABLE[:n])[:n] + _TABLE[n:]) != _TABLE[:n]:
                 raise NonBijection(f"not a permutation of 0..{n - 1}: {images!r}")
-            seen[v] = True
-        self.images = bytes(images) if n <= 256 else images
+            self.images = a
+        else:
+            seen = [False] * n
+            for v in images:
+                if type(v) is not int or not 0 <= v < n or seen[v]:
+                    raise NonBijection(f"not a permutation of 0..{n - 1}: {images!r}")
+                seen[v] = True
+            self.images = images
 
     # construction helpers -------------------------------------------------
 
@@ -67,12 +79,12 @@ class Permutation:
 
     @staticmethod
     def from_cycles(n, cycles):
-        """Build a degree-n permutation from disjoint (or sequential) cycles."""
+        """The degree-n product of the cycles, left to right: (0 1)(1 2) maps 0 to 2."""
         images = list(range(n))
-        for cycle in cycles:
+        for cycle in map(tuple, cycles):
             check_points(n, cycle)
-            for i, v in enumerate(cycle):
-                images[v] = cycle[(i + 1) % len(cycle)]
+            step = dict(zip(cycle, cycle[1:] + cycle[:1]))
+            images = [step.get(y, y) for y in images]
         return Permutation(images)
 
     # basic queries ---------------------------------------------------------
@@ -90,31 +102,23 @@ class Permutation:
 
     def first_moved(self):
         """Smallest moved point, or None for the identity."""
-        for i, v in enumerate(self.images):
-            if i != v:
-                return i
-        return None
+        return next((i for i, v in enumerate(self.images) if i != v), None)
 
     def order(self):
-        out = 1
-        for cycle in self.cycles():
-            out = out * len(cycle) // gcd(out, len(cycle))
-        return out
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest point."""
         seen = set()
         out = []
-        for start in range(len(self.images)):
-            if start in seen or self.images[start] == start:
+        for start, x in enumerate(self.images):
+            if start in seen or x == start:
                 continue
             cycle = [start]
-            seen.add(start)
-            x = self.images[start]
             while x != start:
                 cycle.append(x)
-                seen.add(x)
                 x = self.images[x]
+            seen.update(cycle)
             out.append(tuple(cycle))
         return out
 

@@ -245,9 +245,14 @@ def test_chain_matches_closure(gens_n, seed):
 # --- incremental re-sweeps ------------------------------------------------------
 
 
+def _unproven(mp):
+    """Make every sweep run to its end: no level is proven complete early."""
+    mp.setattr(group_module._Chain, "_proven_complete", lambda chain, i: False)
+
+
 def _every_pair_sifted(mp):
     """Make every sweep build its tree afresh and sift all its pairs:
-    recompute_orbit marks no point kept."""
+    recompute_orbit marks no point kept, and no sweep ends early."""
     original = group_module._Level.recompute_orbit
 
     def keep_none(level, chain):
@@ -256,6 +261,7 @@ def _every_pair_sifted(mp):
         return set()
 
     mp.setattr(group_module._Level, "recompute_orbit", keep_none)
+    _unproven(mp)
 
 
 def _grown_fingerprints(gens, n):
@@ -288,6 +294,116 @@ def test_incremental_sweeps_build_relabelled_s12_as_full_sweeps(monkeypatch):
     incremental = calls[0]
     assert got == _full_sweep_fingerprints(gens, 12)
     assert incremental < calls[0] - incremental  # the reference sifts the skipped pairs
+
+
+# --- sweeps that end once their level is proven complete -------------------------
+
+
+def _count_proofs(monkeypatch):
+    """Count the levels _proven_complete proves complete from now on."""
+    proofs = [0]
+    original = group_module._Chain._proven_complete
+
+    def counted(chain, i):
+        proven = original(chain, i)
+        proofs[0] += proven
+        return proven
+
+    monkeypatch.setattr(group_module._Chain, "_proven_complete", counted)
+    return proofs
+
+
+def _unproven_fingerprints(build, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        _unproven(mp)
+        return build(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets(max_degree=10, max_size=4))
+def test_proven_levels_build_the_chains_of_full_sweeps(gens_n):
+    n, gens = gens_n
+    assert _grown_fingerprints(gens, n) == _unproven_fingerprints(_grown_fingerprints, gens, n)
+
+
+def test_proven_levels_build_relabelled_s12_as_full_sweeps(monkeypatch):
+    proofs = _count_proofs(monkeypatch)
+    gens = list(_relabelled_symmetric(12).generators)
+    got = _grown_fingerprints(gens, 12)
+    assert proofs[0] > 0
+    assert got == _unproven_fingerprints(_grown_fingerprints, gens, 12)
+
+
+def _atlas_fingerprints():
+    """The chains of T and each K of the desk-scale atlas cases, and of each K
+    rebased on the base of T and of every other K, all built afresh."""
+    from permdec.atlas import load_case
+
+    out = []
+    for name in ("KLEIN_GRID", "A6_36", "M12_144", "SP62_63"):
+        case = load_case(name)
+        groups = [PermGroup(g.generators, degree=g.degree)
+                  for g in (case.group, *case.subgroups.values())]
+        out += [_fingerprint(g.chain) for g in groups]
+        out += [_fingerprint(k.chain_with_base(g.base))
+                for k in groups[1:] for g in groups if g is not k]
+    return out
+
+
+def test_proven_levels_build_the_atlas_chains_of_full_sweeps(monkeypatch):
+    proofs = _count_proofs(monkeypatch)
+    got = _atlas_fingerprints()
+    assert proofs[0] > 0  # rebases whose laid-out orbits fall short of |K|
+    assert got == _unproven_fingerprints(_atlas_fingerprints)
+
+
+def test_a_short_rebase_ends_its_sweep_at_the_known_order(monkeypatch):
+    gens = [C(4, [(0, 1, 2, 3)]), C(4, [(0, 1)])]
+    proofs = _count_proofs(monkeypatch)
+    s4 = PermGroup(gens)
+    assert s4.base == (0, 1, 2)
+    proofs[0] = 0
+    got = _fingerprint(s4.chain_with_base((0, 2)))
+    assert proofs[0] > 0  # the sweep ends before its last pair
+    assert got[:2] == ((0, 2, 1), (4, 3, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        _unproven(mp)
+        s4 = PermGroup(gens)
+        s4.order()
+        assert got == _fingerprint(s4.chain_with_base((0, 2)))
+
+
+@pytest.mark.parametrize("gens,order", [
+    # a two-point level 0 is left to its sweep
+    ([C(5, [(0, 1), (2, 3, 4)])], 6),
+    # the orbits of levels 0 and 1 have 3 and 2 points, 3! in all, but level 0's
+    # generators also move 3 and 4, and (3 4) lies in the group
+    ([C(5, [(0, 1, 2)]), C(5, [(0, 1)]), C(5, [(1, 2), (3, 4)])], 12),
+])
+def test_a_level_moving_points_off_its_orbit_is_not_proven_by_its_factorial(gens, order):
+    group = PermGroup(gens)
+    assert group.order() == order == len(mulclose(gens))
+    _assert_inverse_transversals(group.chain)
+
+
+def _count_sifts(monkeypatch):
+    calls = [0]
+    original = group_module._Chain._strip_images
+
+    def counted(chain, g, start=0):
+        calls[0] += 1
+        return original(chain, g, start)
+
+    monkeypatch.setattr(group_module._Chain, "_strip_images", counted)
+    return calls
+
+
+def test_relabelled_s16_sifts_almost_no_schreier_generator(monkeypatch):
+    # sweeps that run to their end sift 1,027 Schreier generators here; each
+    # level of Sym(n) is proven complete by |orbit|! once its levels below are
+    sifts = _count_sifts(monkeypatch)
+    assert _relabelled_symmetric(16).order() == math.factorial(16)
+    assert sifts[0] <= 0.05 * 1027
 
 
 # --- one chain per derived group ------------------------------------------------

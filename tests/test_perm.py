@@ -38,6 +38,42 @@ def test_constructor_rejects_non_bijections():
             Permutation(images)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 24, 128, 255, 256, 257])
+def test_constructor_accepts_exactly_the_permutations(n):
+    # up to 256 points bytes() and the round trip through the inverse table
+    # decide, above a loop; both refuse with the same message
+    rng = random.Random(n)
+    perm = rng.sample(range(n), n)
+    candidates = [perm, perm[:-1], [*perm, n]]
+    for k in rng.sample(range(n), min(n, 4)):
+        v = perm[k]
+        for bad in (n, 255, 256, -1, float(v), str(v), perm[k - 1], bool(v) if v < 2 else v):
+            candidates.append([*perm[:k], bad, *perm[k + 1:]])
+    for images in candidates:
+        m = len(images)
+        if all(type(v) is int for v in images) and sorted(images) == list(range(m)):
+            assert tuple(Permutation(images).images) == tuple(images)
+        else:
+            with pytest.raises(NonBijection) as refused:
+                Permutation(images)
+            assert str(refused.value) == f"not a permutation of 0..{m - 1}: {tuple(images)!r}"
+
+
+def test_from_cycles_multiplies_its_cycles_left_to_right():
+    assert C(4, [(0, 1), (1, 2)]).images == bytes([2, 0, 1, 3])  # 0 -> 1 -> 2
+    assert C(4, [iter((0, 1))]) == C(4, [(0, 1)])  # each cycle is read once
+    rng = random.Random(9)
+    for _ in range(50):
+        cycles = [rng.sample(range(9), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
+        want = Permutation.identity(9)
+        for cycle in cycles:
+            images = list(range(9))
+            for i, v in enumerate(cycle):
+                images[v] = cycle[(i + 1) % len(cycle)]
+            want = want * Permutation(images)
+        assert C(9, iter(cycles)) == want
+
+
 def test_composition_is_left_to_right():
     p = C(3, [(0, 1)])
     q = C(3, [(1, 2)])

@@ -19,7 +19,10 @@ parent's interquartile range exceeds the bound's share of its median and
 some change run fails to beat some parent run; per workload, failed and
 attempted operations per side; and, for a claimed metric, whether the
 change won at least nine pairs in ten by more, in the medians, than the
-parent's interquartile range.
+parent's interquartile range. The method records whether Python writes
+bytecode: with ``PYTHONDONTWRITEBYTECODE`` set it does not, so each set-up
+probe, a fresh process, compiles ``src/`` again, and ``setup_s`` holds that
+compile time.
 """
 
 from __future__ import annotations
@@ -147,6 +150,7 @@ def main(argv=None):
             "checkouts": "parent and change each exported by git archive to a fresh directory",
             "machine": f"{os.cpu_count()} CPUs, {platform.python_implementation()} "
                        f"{platform.python_version()}",
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         },
         "claimed": {"workload": claim[0], "metric": claim[1]} if claim else None,
         "workloads": summarise(pairs, metrics, claim),
