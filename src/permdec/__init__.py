@@ -46,7 +46,7 @@ from .factor import (
     is_full_factorisation,
     is_strong_multiple_factorisation,
 )
-from .group import PermGroup, group_from_generators
+from .group import PermGroup, group_from_generators, normal_closure
 from .perm import Partition, Permutation
 from .structure import (
     Coset,
@@ -57,7 +57,6 @@ from .structure import (
     intersect,
     is_innately_transitive,
     minimal_normal_subgroups,
-    normal_closure,
     normaliser_in,
     setwise_stabiliser,
 )

@@ -64,11 +64,10 @@ def _cases_dir(data_dir):
 
 def _case_path(name, data_dir):
     cases = _cases_dir(data_dir)
-    path = cases / f"{name}.json"
-    if not path.exists():
-        known = sorted(p.stem for p in cases.glob("*.json"))
+    known = sorted(p.stem for p in cases.glob("*.json"))
+    if name not in known:
         raise UnknownCase(f"no case {name!r}; known: {', '.join(known)}")
-    return path
+    return cases / f"{name}.json"
 
 
 def list_cases(data_dir=None):

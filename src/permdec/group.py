@@ -14,19 +14,21 @@ One sweep is enough: level i's generators and orbit stay fixed during it
 or whose residue was added, lies in the group of the completed levels
 below, which only grows. A level the residue missed keeps its generators,
 as does every level below it, so it stays complete. Sweeps sit on an
-explicit stack. What is acted on (u_x, Schreier generators, sift residues,
-``contains`` queries) is a permutation's own images, n bytes up to 256
-points. What acts from the right (u_x^-1, each generator and its inverse)
-is kept as a table (``perm.pack``, 256 bytes up to 256 points). So a
-product, bound once per chain by degree (``perm.product``), is one
-``bytes.translate``; above 256 points both are the image tuple. A level
-keeps one list of (generator, table, inverse table) entries and a Schreier
-tree {x: (parent, generator index)}, along which u_x is the ``Permutation``
-u_parent * s, the level's only copy of u_x, and u_x^-1 the table s^-1 *
-u_parent^-1. Outside this module a level is read only through ``point``,
-``orbit`` and ``u``. A sift or Schreier generator skips each level whose
-base point it already fixes, as the transversal element there is the
-identity. A sift stops once its residue is the identity.
+explicit stack. A level is laid out when its sweep is scheduled, as only
+sweeps of shallower levels, waiting below it on the stack, add to it. What
+is acted on (u_x, Schreier generators, sift residues, ``contains``
+queries) is a permutation's own images, n bytes up to 256 points. What
+acts from the right (u_x^-1, each generator and its inverse) is kept as a
+table (``perm.pack``, 256 bytes up to 256 points). So a product, bound
+once per chain by degree (``perm.product``), is one ``bytes.translate``;
+above 256 points both are the image tuple. A level keeps one list of
+(generator, table, inverse table) entries and a Schreier tree
+{x: (parent, generator index)}, along which u_x is the ``Permutation``
+u_parent * s, the level's only copy of u_x, and u_x^-1 the table
+s^-1 * u_parent^-1. Outside this module a level is read only through
+``point``, ``orbit`` and ``u``. A sift or Schreier generator skips each
+level whose base point it already fixes, as the transversal element there
+is the identity. A sift stops once its residue is the identity.
 
 A re-sweep is incremental. Each level keeps its Schreier tree, and a new
 tree reuses u_x and u_x^-1 for each point x whose tree edge and every
@@ -51,7 +53,8 @@ O_i, |H_i| <= |O_i|!, a product that needs |O_{i+1}| = |O_i| - 1. (b) As
 |O_j| <= |G_j : G_{j+1}|, a product equal to a known |G| makes every orbit
 full and the base's stabiliser trivial, so H_j = G_j, deepest level first.
 A pair left unsifted then gives an element of H_{i+1}, the chain is a full
-sweep's, and ``swept`` may skip that pair later.
+sweep's, and ``swept`` may skip that pair later. ``order=`` is read only
+here, against current orbits.
 
 ``_Chain.extend`` re-sweeps only the levels a new generator touches; only
 ``group_from_generators`` and ``normal_closure`` extend, each a chain it
@@ -60,8 +63,8 @@ then adopts. A point stabiliser adopts levels 1 onward of
 whose callers only read it. Its level 0 is the point's orbit transversal, so
 ``_Level.recompute_orbit`` makes every transversal element. The group keeps
 the chain, made at most once per point: the cached chain if its base begins
-there, else a rebuild from the cached chain's strong generators, given |G|
-and not swept when its laid-out orbits reach it, by (b).
+there, else a rebuild from the cached chain's strong generators given |G|,
+each sweep ending at once when their orbits reach it, by (b).
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class _Chain:
     """Stabiliser chain: level i generates the stabiliser of base[0..i-1]."""
 
     def __init__(self, degree, generators, base_hint=(), order=None):
-        """Given the group's order, sweeps end, or never start, once the orbits reach it."""
+        """Given the group's order, each sweep ends once the orbits' product reaches it."""
         self.degree = degree
         self.levels = []
         self._order = order
@@ -152,16 +155,11 @@ class _Chain:
         for g in generators:
             if not g.is_identity():
                 self._add_gen(g, 0)
-        if order is not None:
-            for level in self.levels:
-                level.recompute_orbit(self)
-            if self.order() == order:
-                return
         self._complete(range(len(self.levels)))
 
     @property
     def base(self):
-        return tuple(level.point for level in self.levels)
+        return tuple([level.point for level in self.levels])
 
     def _new_level_point(self, g):
         while self._hint:
@@ -206,23 +204,24 @@ class _Chain:
         return g
 
     def _complete(self, touched):
-        """Sweep the touched levels, deepest first; re-sweep the levels an addition touches."""
-        stack = [self._sweep(i) for i in touched]
-        while stack:
-            added = next(stack[-1], None)
-            if added is None:
+        """Sweep the touched levels, deepest first, each laid out as its sweep is scheduled;
+        re-sweep the levels an addition touches."""
+        stack = []
+        while True:
+            stack += [self._sweep(k, self.levels[k].recompute_orbit(self)) for k in touched]
+            while stack and (touched := next(stack[-1], None)) is None:
                 stack.pop()
-            else:
-                stack.extend(self._sweep(k) for k in added)
+            if not stack:
+                return
 
-    def _sweep(self, i):
+    def _sweep(self, i, kept):
         """Sift level i's Schreier generators; yield the levels each residue is added to.
 
         The pair (beta, s) is skipped when s fixes beta = point, or when s is one of
-        the last finished sweep's generators and beta and beta^s are kept."""
+        the last finished sweep's generators and beta and beta^s are in kept, the
+        points ``recompute_orbit`` kept when the sweep was scheduled."""
         level = self.levels[i]
         swept, level.swept = level.swept, 0  # an unfinished sweep leaves nothing to skip
-        kept = level.recompute_orbit(self)
         gens = [s for _, s, _ in level.gens]
         mul, identity, n = self.mul, self.identity, self.degree
         point = level.point
@@ -404,3 +403,12 @@ def group_from_generators(gens, degree, name=None):
     """Group from a redundant generator list, keeping those that enlarge it."""
     chain = _Chain(degree, ())
     return _adopting([g for g in gens if chain.extend(g)], chain, name)
+
+
+def normal_closure(g, seeds):
+    """Smallest normal subgroup of g containing the seed permutations."""
+    chain = _Chain(g.degree, ())
+    gens = [x for x in seeds if chain.extend(x)]
+    for x in gens:  # the loop visits the conjugates kept during it
+        gens += [c for c in (x.conjugate_by(s) for s in g.generators) if chain.extend(c)]
+    return _adopting(gens, chain)

@@ -80,7 +80,7 @@ class Permutation:
     @staticmethod
     def from_cycles(n, cycles):
         """The degree-n product of the cycles, left to right: (0 1)(1 2) maps 0 to 2."""
-        images = list(range(n))
+        images = list(range(check_count(n, "degree")))
         for cycle in map(tuple, cycles):
             check_points(n, cycle)
             step = dict(zip(cycle, cycle[1:] + cycle[:1]))
@@ -209,7 +209,7 @@ class Partition:
         try:
             norm = sorted(tuple(sorted(set(b))) for b in blocks)
             pts = [x for b in norm for x in b]
-            n = degree if degree is not None else (max(pts) + 1 if pts else 0)
+            n = check_count(degree, "degree") if degree is not None else (max(pts) + 1 if pts else 0)
             is_partition = all(norm) and {*map(type, pts)} <= {int} and sorted(pts) == list(range(n))
         except TypeError:  # a block that is not a collection of points
             is_partition = False

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegreeMismatch, InvalidInput, NotSubgroup, PointOutOfRange, check
-from .group import PermGroup, _adopting, _Chain, group_from_generators, on_points, orbit
+from .group import PermGroup, group_from_generators, normal_closure, on_points, orbit
 from .perm import Partition, Permutation, check_points, pack, product
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -315,15 +315,6 @@ def block_systems(g, omega=0):
 
 
 # --- normal structure -------------------------------------------------------
-
-
-def normal_closure(g, seeds):
-    """Smallest normal subgroup of g containing the seed permutations."""
-    chain = _Chain(g.degree, ())
-    gens = [x for x in seeds if chain.extend(x)]
-    for x in gens:  # the loop visits the conjugates kept during it
-        gens += [c for c in (x.conjugate_by(s) for s in g.generators) if chain.extend(c)]
-    return _adopting(gens, chain)
 
 
 def minimal_normal_subgroups(g, bound=ORDER_BOUND):

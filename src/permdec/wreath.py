@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cartesian import CartesianDecomposition, is_invariant, validate_decomposition
 from .errors import BudgetExceeded, InvalidDecomposition, InvalidInput, PointOutOfRange, check
 from .group import PermGroup
-from .perm import Partition, Permutation, check_points
+from .perm import Partition, Permutation, check_count, check_points
 
 DEGREE_BUDGET = 10**5
 
@@ -30,7 +30,8 @@ class WreathSpec:
     top_count: int
 
     def __post_init__(self):
-        if self.base_size < 2 or self.top_count < 2:
+        if (check_count(self.base_size, "base size") < 2
+                or check_count(self.top_count, "top count") < 2):
             raise InvalidInput("need base size >= 2 and top count >= 2")
 
     @property

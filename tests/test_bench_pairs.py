@@ -71,3 +71,14 @@ def test_claim_needs_nine_pairs_in_ten_and_the_parent_iqr(change, met):
     out = bench_pairs.summarise({"w": runs}, METRICS, claim=("w", "wall_s"))["w"]
     assert out["wall_s"]["claim_met"] is met
     assert "claim_met" not in out["ops_per_s"]
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "permdec"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (package / "c.txt").write_text("not\ncounted\n")
+    (package / "data" / "d.py").write_text("not counted\n")
+    (tmp_path / "tools.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3

@@ -357,6 +357,32 @@ def test_proven_levels_build_the_atlas_chains_of_full_sweeps(monkeypatch):
     assert got == _unproven_fingerprints(_atlas_fingerprints)
 
 
+def test_the_stop_rule_reads_current_orbits(monkeypatch):
+    # every level is laid out when its sweep is scheduled, so each proof reads
+    # the orbit of each level's present generators
+    from permdec.atlas import load_case
+
+    reads = [0]
+    original = group_module._Chain._proven_complete
+
+    def checked(chain, i):
+        reads[0] += 1
+        for lv in chain.levels:
+            gens = [g for g, _, _ in lv.gens]
+            assert lv.orbit == list(group_module.orbit(lv.point, gens, group_module.on_points))
+        return original(chain, i)
+
+    monkeypatch.setattr(group_module._Chain, "_proven_complete", checked)
+    for n in (8, 12, 16):
+        assert _relabelled_symmetric(n).order() == math.factorial(n)
+    for name in ("A6_36", "SP62_63", "M12_144"):
+        g = load_case(name).group
+        g = PermGroup(g.generators, degree=g.degree)
+        for point in range(g.degree):
+            assert g.point_stabiliser(point).order() * len(g.orbit(point)) == g.order()
+    assert reads[0] > 0
+
+
 def test_a_short_rebase_ends_its_sweep_at_the_known_order(monkeypatch):
     gens = [C(4, [(0, 1, 2, 3)]), C(4, [(0, 1)])]
     proofs = _count_proofs(monkeypatch)
@@ -387,11 +413,13 @@ def test_a_level_moving_points_off_its_orbit_is_not_proven_by_its_factorial(gens
 
 
 def _count_sifts(monkeypatch):
+    """Count the Schreier generators sifted: the _strip_images calls of a sweep,
+    which start below level 0 (a membership query starts at level 0)."""
     calls = [0]
     original = group_module._Chain._strip_images
 
     def counted(chain, g, start=0):
-        calls[0] += 1
+        calls[0] += start > 0
         return original(chain, g, start)
 
     monkeypatch.setattr(group_module._Chain, "_strip_images", counted)
@@ -585,9 +613,9 @@ def test_rebase_stops_at_the_known_order(monkeypatch):
     case = load_case("A6_36")
     a, b = case.subgroups["A"], case.subgroups["B"]
     assert a.order() == b.order() == 60
-    calls = _count_completions(monkeypatch)
+    sifts = _count_sifts(monkeypatch)
     chain = a.chain_with_base(b.base)
-    assert calls == []
+    assert sifts == [0]
     assert chain.base == b.base == (0, 1, 2)
     assert [len(lv.orbit) for lv in chain.levels] == [5, 4, 3]
     _assert_inverse_transversals(chain)
@@ -602,14 +630,15 @@ def test_chain_with_base_is_the_cached_chain_on_its_own_base():
 
 
 def test_off_base_point_stabiliser_is_laid_out_at_the_known_order(monkeypatch):
-    # 11 is off M12's base; the strong generators rebased there reach |M12| unswept
+    # 11 is off M12's base; the strong generators rebased there reach |M12|, so no
+    # Schreier generator is sifted
     m12 = _m12()
     m12.order()
     assert 11 not in m12.base
-    calls = _count_completions(monkeypatch)
+    sifts = _count_sifts(monkeypatch)
     stab = m12.point_stabiliser(11)
     assert stab.order() == 7920
-    assert calls == []
+    assert sifts == [0]
     assert all(g.images[11] == 11 and m12.contains(g) for g in stab.generators)
 
 

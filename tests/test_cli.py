@@ -236,8 +236,12 @@ def test_budget_below_one_is_a_json_error(capsys, files, argv, budget):
 
 
 def test_atlas_unknown(capsys):
-    code, data = invoke(capsys, ["atlas", "verify", "NOPE"])
-    assert code == 1 and data["error"] == "UnknownCase"
+    # a name is a stem that list_cases lists: a path out of cases/ once read
+    # KLEIN_GRID as "../cases/KLEIN_GRID", and the corpus file as a case
+    for name in ("NOPE", "../cases/KLEIN_GRID", "../corpus"):
+        code, data = invoke(capsys, ["atlas", "verify", name])
+        assert code == 1 and data["error"] == "UnknownCase"
+        assert "KLEIN_GRID" in data["message"]
 
 
 def test_atlas_verify_requires_name():

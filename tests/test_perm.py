@@ -141,13 +141,23 @@ def test_a_point_is_an_int_in_range(call, point):
     assert str(info.value) == f"point {point!r} outside 0..3"
 
 
-@pytest.mark.parametrize("degree", [-1, -257, 2.0, True, "4", None])
+@pytest.mark.parametrize("degree", [-1, -3, -4, -257, 2.0, True, "4", None])
 def test_a_degree_is_a_non_negative_int(degree):
     # the identity of degree -1 once had 255 points, from the table's last 255 bytes
     with pytest.raises(InvalidInput):
         Permutation.identity(degree)
     with pytest.raises(InvalidInput):
         PermGroup([], degree=degree)
+    # from_cycles(True, []) once had degree 1, and from_cycles(-3, [(0, 1)]) found
+    # 0 "outside 0..-4"
+    for cycles in ([], [(0, 1)]):
+        with pytest.raises(InvalidInput):
+            Permutation.from_cycles(degree, cycles)
+    if degree is not None:  # without a degree a partition has the one its blocks cover
+        # Partition([], degree=-4) once had degree -4, Partition([[0]], degree=True) degree True
+        for blocks in ([], [[0]]):
+            with pytest.raises(InvalidInput):
+                Partition(blocks, degree=degree)
 
 
 def test_conjugate_moves_stabilised_set():

@@ -302,6 +302,19 @@ def test_only_group_reads_level_storage():
     assert found == []
 
 
+def test_only_group_imports_chain_internals():
+    # chains grow only inside group.py: no other module imports _Chain, _Level,
+    # _adopting or any other private name of it
+    found = []
+    for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("group", "permdec.group"):
+                found += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
 def test_coset_intersection_of_no_cosets_is_invalid_input():
     with pytest.raises(InvalidInput) as info:
         coset_intersection([])

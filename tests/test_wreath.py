@@ -6,6 +6,7 @@ import pytest
 
 from permdec import (
     BudgetExceeded,
+    InvalidInput,
     Partition,
     Permutation,
     PermGroup,
@@ -22,10 +23,10 @@ from permdec.wreath import natural_decomposition
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        WreathSpec(1, 2)
-    with pytest.raises(ValueError):
-        WreathSpec(3, 1)
+    # WreathSpec(3, 2.0) was accepted, and product_action_wreath on it raised TypeError
+    for base, ell in [(1, 2), (3, 1), (3, 2.0), (2.0, 3), (True, 2), (3, "2"), (-3, 2)]:
+        with pytest.raises(InvalidInput):
+            WreathSpec(base, ell)
 
 
 @pytest.mark.parametrize(

@@ -19,10 +19,11 @@ parent's interquartile range exceeds the bound's share of its median and
 some change run fails to beat some parent run; per workload, failed and
 attempted operations per side; and, for a claimed metric, whether the
 change won at least nine pairs in ten by more, in the medians, than the
-parent's interquartile range. The method records whether Python writes
-bytecode: with ``PYTHONDONTWRITEBYTECODE`` set it does not, so each set-up
-probe, a fresh process, compiles ``src/`` again, and ``setup_s`` holds that
-compile time.
+parent's interquartile range. It also holds each side's ``src_lines``, the
+newlines in ``src/permdec/*.py`` as ``wc -l`` counts them. The method
+records whether Python writes bytecode: with ``PYTHONDONTWRITEBYTECODE`` set
+it does not, so each set-up probe, a fresh process, compiles ``src/``
+again, and ``setup_s`` holds that compile time.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def export(rev, into):
     archive = subprocess.run(["git", "archive", "--format=tar", rev], capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
     return out
+
+
+def src_lines(checkout):
+    """The lines of src/permdec/*.py in checkout, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(checkout) / "src" / "permdec").glob("*.py"))
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -122,6 +129,7 @@ def main(argv=None):
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         trees = {s: export(revs[s], tmp) for s in SIDES}
+        lines = {s: src_lines(trees[s]) for s in SIDES}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         seconds = bench["run_seconds"]
         workloads = [w["name"] for w in bench["workloads"]]
@@ -153,6 +161,7 @@ def main(argv=None):
             "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         },
         "claimed": {"workload": claim[0], "metric": claim[1]} if claim else None,
+        "src_lines": lines,
         "workloads": summarise(pairs, metrics, claim),
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
