@@ -25,10 +25,12 @@ above 256 points both are the image tuple. A level keeps one list of
 (generator, table, inverse table) entries and a Schreier tree
 {x: (parent, generator index)}, along which u_x is the ``Permutation``
 u_parent * s, the level's only copy of u_x, and u_x^-1 the table
-s^-1 * u_parent^-1. Outside this module a level is read only through
-``point``, ``orbit`` and ``u``. A sift or Schreier generator skips each
-level whose base point it already fixes, as the transversal element there
-is the identity. A sift stops once its residue is the identity.
+s^-1 * u_parent^-1, a table per orbit point, in a list indexed by point and
+None off the orbit, so a sift reads one subscript per level. Outside this
+module a level is read only through ``point``, ``orbit`` and ``u``. A sift
+or Schreier generator skips each level whose base point it already fixes,
+as the transversal element there is the identity. A sift stops once its
+residue is the identity.
 
 A re-sweep is incremental. Each level keeps its Schreier tree, and a new
 tree reuses u_x and u_x^-1 for each point x whose tree edge and every
@@ -37,11 +39,14 @@ how many generators the level had. A later sweep skips the pair (beta, s)
 when s was one of those and both beta and beta^s are kept: its Schreier
 generator is the very element the last finished sweep sifted, so it lies in
 the group of the levels below, which were complete then and have only grown
-since. A sweep also skips the pair (b_i, s) when s fixes b_i, the level's
-point: its Schreier generator is s itself, which _add_gen put on level i + 1
-too, and the levels below are complete while level i sweeps. Sifting either
-kind of pair would give the identity and add nothing, so every chain is the
-one a sweep over all pairs builds.
+since. A sweep also leaves unsifted a Schreier generator that is the
+identity or one of the generators level i + 1 held when the sweep began: the
+levels from i + 1 are complete while level i sweeps, so every element of the
+group of level i + 1's generators sifts to the identity. That covers the pair
+(b_i, s) for s fixing b_i, the level's point, whose Schreier generator is s
+itself, which _add_gen put on level i + 1 too. Sifting either kind would give
+the identity and add nothing, so every chain is the one a sweep over all pairs
+builds.
 
 A sweep also ends, as a finished one, once ``_proven_complete`` proves level
 i complete, asked before the first pair and after each residue's levels are
@@ -76,24 +81,21 @@ from .errors import DegreeMismatch, InvalidInput, NotTransitive
 from .perm import Permutation, check_count, check_points, identity_images, pack, product
 
 
-def on_points(x, s):
-    """The point action, x -> x^s."""
-    return s.images[x]
+def orbit(start, gens, act=None):
+    """The Schreier tree of start under gens: {x: (parent, j)}, x the image of
+    parent under gens[j], None at the root.
 
-
-def orbit(start, gens, act):
-    """The Schreier tree of start under gens: {x: (parent, s)}, None at the root.
-
-    act(x, s) is the image of x under s. The tree is built breadth first and
-    its keys come in that order, each after its parent; no products are made.
+    act(x, s) is the image of x under s; without act each s is an image
+    sequence or a table, and x maps to s[x]. The tree is built breadth first
+    and its keys come in that order, each after its parent; no products are made.
     """
     tree = {start: None}
     queue = [start]
     for x in queue:  # the loop visits points appended during it
-        for s in gens:
-            y = act(x, s)
+        for j, s in enumerate(gens):
+            y = s[x] if act is None else act(x, s)
             if y not in tree:
-                tree[y] = (x, s)
+                tree[y] = (x, j)
                 queue.append(y)
     return tree
 
@@ -107,7 +109,7 @@ class _Level:
         self.orbit = [point]
         self.tree = {}  # {x: (parent, generator index)}
         self.transversal = {}
-        self.inv = {}  # u_x^-1 as tables
+        self.inv = []  # u_x^-1 as a table at each orbit point x, else None
         self.swept = 0  # generators the level had when its last sweep finished
 
     def u(self, beta):
@@ -119,10 +121,10 @@ class _Level:
         which keep their u_x and u_x^-1."""
         old_tree, old_u, old_inv = self.tree, self.transversal, self.inv
         gens = self.gens
-        self.tree = tree = orbit(self.point, range(len(gens)), lambda x, j: gens[j][1][x])
+        self.tree = tree = orbit(self.point, [t for _, t, _ in gens])
         self.orbit = list(tree)
         self.transversal = u = {}
-        self.inv = inv = {}
+        self.inv = inv = [None] * chain.degree
         kept = set()
         mul = chain.mul
         for x, edge in tree.items():  # each parent comes before its children
@@ -190,12 +192,12 @@ class _Chain:
 
     def _strip_images(self, g, start=0):
         """Sift the images g through levels start onward; return the residue."""
-        levels, mul, identity = self.levels, self.mul, self.identity
-        for i in range(start, len(levels)):
-            level = levels[i]
-            beta = g[level.point]
-            if beta != level.point:  # else u_beta is the identity
-                u_inv = level.inv.get(beta)
+        mul, identity = self.mul, self.identity
+        for level in self.levels[start:] if start else self.levels:
+            point = level.point
+            beta = g[point]
+            if beta != point:  # else u_beta is the identity
+                u_inv = level.inv[beta]
                 if u_inv is None:
                     return g
                 g = mul(g, u_inv)
@@ -217,13 +219,15 @@ class _Chain:
     def _sweep(self, i, kept):
         """Sift level i's Schreier generators; yield the levels each residue is added to.
 
-        The pair (beta, s) is skipped when s fixes beta = point, or when s is one of
-        the last finished sweep's generators and beta and beta^s are in kept, the
-        points ``recompute_orbit`` kept when the sweep was scheduled."""
+        The pair (beta, s) is skipped when s is one of the last finished sweep's
+        generators and beta and beta^s are in kept, the points ``recompute_orbit``
+        kept when the sweep was scheduled; its Schreier generator is left unsifted
+        when it is the identity or a generator level i + 1 held as the sweep began."""
         level = self.levels[i]
         swept, level.swept = level.swept, 0  # an unfinished sweep leaves nothing to skip
         gens = [s for _, s, _ in level.gens]
         mul, identity, n = self.mul, self.identity, self.degree
+        held = {identity, *[g.images for lv in self.levels[i + 1:i + 2] for g, _, _ in lv.gens]}
         point = level.point
         done = self._proven_complete(i)
         for beta in level.orbit:
@@ -233,12 +237,12 @@ class _Chain:
             sifted = swept if beta in kept else 0  # pairs the last sweep sifted
             for j, s in enumerate(gens):  # u_point is the identity
                 gamma = s[beta]
-                if done or j < sifted and gamma in kept or gamma == beta == point:
+                if done or j < sifted and gamma in kept:
                     continue
                 sg = s[:n] if beta == point else mul(u, s)
                 if gamma != point:
                     sg = mul(sg, level.inv[gamma])
-                if sg == identity:
+                if sg in held:
                     continue
                 residue = self._strip_images(sg, i + 1)
                 if residue != identity:
@@ -261,7 +265,7 @@ class _Chain:
         return prod(len(level.orbit) for level in self.levels)
 
     def contains(self, g):
-        if g.degree != self.degree:
+        if len(g.images) != self.degree:
             raise DegreeMismatch(f"degrees {g.degree} and {self.degree} differ")
         return self._strip_images(g.images) == self.identity
 
@@ -349,7 +353,7 @@ class PermGroup:
     def orbit(self, point):
         """The orbit of a point, ascending."""
         check_points(self.degree, (point,))
-        return tuple(sorted(orbit(point, self.generators, on_points)))
+        return tuple(sorted(orbit(point, [s.images for s in self.generators])))
 
     def orbit_transversal(self, point):
         """Map beta -> u with point^u = beta, read off level 0 of the chain based at point."""

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegreeMismatch, InvalidInput, NotSubgroup, PointOutOfRange, check
-from .group import PermGroup, group_from_generators, normal_closure, on_points, orbit
+from .group import PermGroup, group_from_generators, normal_closure, orbit
 from .perm import Partition, Permutation, check_points, pack, product
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -166,10 +166,10 @@ class _Backtrack:
                 child = self.refine(fixing[i], lv.point, beta)
                 hit = None if child is None else self.first_hit(i + 1, lv.u(beta), child)
                 if hit is None:
-                    dead.update(orbit(beta, gens, on_points))
+                    dead.update(orbit(beta, [s.images for s in gens]))
                 else:
                     gens.append(hit)
-                    reached = orbit(lv.point, gens, on_points)
+                    reached = orbit(lv.point, [s.images for s in gens])
             order *= len(reached)
         # top-level generators first: a chain built from them measured
         # several times cheaper than one built deepest level first
@@ -284,7 +284,7 @@ def _blocks_through(g, omega):
         if beta in block:
             return block
         gens = found[block] + [trans[beta]]
-        joined = frozenset(orbit(omega, gens, on_points))
+        joined = frozenset(orbit(omega, [s.images for s in gens]))
         found.setdefault(joined, gens)
         return joined
 
@@ -383,7 +383,7 @@ def _orbit_ids(h):
     ids = {}
     for p in range(h.degree):
         if p not in ids:
-            points = orbit(p, h.generators, on_points)
+            points = orbit(p, [s.images for s in h.generators])
             ids.update(dict.fromkeys(points, (p, len(points))))
     return ids
 

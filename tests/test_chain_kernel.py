@@ -131,7 +131,10 @@ def test_chain_is_pinned(name, make, base, orbits, digest):
 def _assert_inverse_transversals(chain):
     for lv in chain.levels:
         assert lv.u(lv.point).is_identity()
-        assert set(lv.inv) == set(lv.transversal) == set(lv.orbit)
+        # a table at each orbit point of a list indexed by point, None elsewhere
+        assert len(lv.inv) == chain.degree
+        held = {x for x, table in enumerate(lv.inv) if table is not None}
+        assert held == set(lv.transversal) == set(lv.orbit)
         for x in lv.orbit:
             assert type(lv.u(x).images) is type(lv.inv[x])  # bytes up to 256 points, else tuple
             assert lv.inv[x] == pack(lv.u(x).inverse().images)
@@ -191,6 +194,11 @@ def test_pair_swap_chains_grow_quadratically(monkeypatch):
     # a sift skips each level whose point is fixed, so 2^k takes O(k^2)
     # products to build (4x from k = 32 to 64); with identity steps it is O(k^3)
     calls = _count_products(monkeypatch)
+    # every Schreier generator of a pair swap is a generator the next level
+    # holds, so no sweep sifts one (a sweep over all pairs sifts 120 at k = 16)
+    sifts = _count_sifts(monkeypatch)
+    assert _pair_swaps(16).order() == 2**16
+    assert sifts[0] == 0
     built = {}
     for k in (32, 64):
         before = calls[0]
@@ -368,8 +376,8 @@ def test_the_stop_rule_reads_current_orbits(monkeypatch):
     def checked(chain, i):
         reads[0] += 1
         for lv in chain.levels:
-            gens = [g for g, _, _ in lv.gens]
-            assert lv.orbit == list(group_module.orbit(lv.point, gens, group_module.on_points))
+            gens = [g.images for g, _, _ in lv.gens]
+            assert lv.orbit == list(group_module.orbit(lv.point, gens))
         return original(chain, i)
 
     monkeypatch.setattr(group_module._Chain, "_proven_complete", checked)

@@ -9,7 +9,7 @@ from permdec import (
     Permutation,
     group_from_generators,
 )
-from permdec.group import on_points, orbit
+from permdec.group import orbit
 
 C = Permutation.from_cycles
 
@@ -57,13 +57,14 @@ def test_orbit_and_transversal(a6):
 
 
 def test_orbit_tree_is_breadth_first(a6):
-    tree = orbit(2, a6.generators, on_points)
+    gens = a6.generators
+    tree = orbit(2, [s.images for s in gens])
     assert tree[2] is None and sorted(tree) == list(range(6))
     order = {x: i for i, x in enumerate(tree)}
     for x, edge in tree.items():
         if edge is not None:
-            parent, s = edge
-            assert order[parent] < order[x] and s.images[parent] == x
+            parent, j = edge
+            assert order[parent] < order[x] and gens[j].images[parent] == x
 
 
 def test_point_stabiliser_matches_enumeration(s4, a6):

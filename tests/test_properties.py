@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from permdec import PermGroup, Permutation, WreathSpec, decode, encode, intersect
 from permdec.brute import product_set
+from permdec.perm import pack
 from permdec.structure import setwise_stabiliser
 
 perm6 = st.permutations(list(range(6))).map(lambda im: Permutation(im))
@@ -76,7 +77,9 @@ def test_product_order_law(seed):
     rng = random.Random(seed)
     a = random_subgroup(rng)
     b = random_subgroup(rng)
-    ab = product_set(a.elements(), b.elements())
+    # |AB| counted on images: x's images translated by y's table are x * y's
+    tables = [pack(y.images) for y in b.elements()]
+    ab = {x.images.translate(t) for x in a.elements() for t in tables}
     inter = intersect(a, b)
     assert len(ab) * inter.order() == a.order() * b.order()
 

@@ -122,7 +122,7 @@ def test_coset_hash_walks_each_orbit_once(monkeypatch):
     walks = []
 
     def recording(original):
-        def walk(start, gens, act):
+        def walk(start, gens, act=None):
             walks.append(start)
             return original(start, gens, act)
         return walk
@@ -377,7 +377,7 @@ def _blocks_joining_every_point(g, omega):
         if beta in block:
             return block
         gens = found[block] + [trans[beta]]
-        joined = frozenset(group_module.orbit(omega, gens, group_module.on_points))
+        joined = frozenset(group_module.orbit(omega, [s.images for s in gens]))
         found.setdefault(joined, gens)
         return joined
 
