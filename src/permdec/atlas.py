@@ -23,7 +23,7 @@ from .factor import (
     is_full_factorisation,
     is_strong_multiple_factorisation,
 )
-from .group import PermGroup
+from .group import PermGroup, on_base
 from .structure import CosetAction, centraliser_in_symmetric, intersect, normaliser_in
 from .wreath import full_stabiliser
 
@@ -107,8 +107,9 @@ def _read_case(name, data):
     if group.order() != t_order:
         raise OrderMismatch(f"{name}: group order {group.order()} != recorded {t_order}")
     subgroups = {}
-    for label, gens in subgroup_gens.items():
-        sub = io.group_from_json({"degree": group.degree, "generators": gens, "name": label})
+    for label, gens in subgroup_gens.items():  # each laid out on T's base, as intersections read it
+        parsed = io.group_from_json({"degree": group.degree, "generators": gens, "name": label})
+        sub = on_base(parsed.generators, group.degree, group.base, name=label)
         [want] = io.fields(subgroup_orders, label)
         if sub.order() != want:
             raise OrderMismatch(f"{name}: |{label}| = {sub.order()} != recorded {want}")

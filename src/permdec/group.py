@@ -63,13 +63,16 @@ here, against current orbits.
 
 ``_Chain.extend`` re-sweeps only the levels a new generator touches; only
 ``group_from_generators`` and ``normal_closure`` extend, each a chain it
-then adopts. A point stabiliser adopts levels 1 onward of
-``chain_with_base((point,))``, the one way to a chain on chosen base points,
-whose callers only read it. Its level 0 is the point's orbit transversal, so
-``_Level.recompute_orbit`` makes every transversal element. The group keeps
-the chain, made at most once per point: the cached chain if its base begins
-there, else a rebuild from the cached chain's strong generators given |G|,
-each sweep ending at once when their orbits reach it, by (b).
+then adopts. An ``on_base`` group lays its chain out on the given points,
+each new level taking the next unused one, so a subgroup of G laid out on a
+base of G has a prefix of it as base. ``chain_with_base`` gives a chain, for
+reading only, whose base agrees with the given points as far as both go: the
+cached one if it does (past a chain's end the stabiliser is trivial), else a
+rebuild from its strong generators given |G|, each sweep ending at once when
+their orbits reach it, by (b). A point stabiliser adopts levels 1 onward of
+``chain_with_base((point,))``, made at most once per point; its level 0 is the
+point's orbit transversal, so ``_Level.recompute_orbit`` makes every
+transversal element.
 """
 
 from __future__ import annotations
@@ -301,6 +304,7 @@ class PermGroup:
         self.generators = generators
         self.name = name
         self._chain = None
+        self._base_hint = ()  # points the chain is laid out on first, set only by on_base
         self._rebased = {}
 
     # chain plumbing ---------------------------------------------------------
@@ -308,13 +312,14 @@ class PermGroup:
     @property
     def chain(self):
         if self._chain is None:
-            self._chain = _Chain(self.degree, self.generators)
+            self._chain = _Chain(self.degree, self.generators, self._base_hint)
         return self._chain
 
     def chain_with_base(self, base_hint):
-        """A chain whose base starts with the given points, for reading only: the
-        cached one if its base does, else one from its strong generators."""
-        if self.chain.base[:len(base_hint)] == tuple(base_hint):
+        """A chain whose base and the given points agree as far as both go, for reading
+        only: the cached one if its base does, else one from its strong generators."""
+        base = self.chain.base
+        if base[:len(base_hint)] == tuple(base_hint)[:len(base)]:
             return self.chain
         strong = {g.images: g for level in self.chain.levels for g, _, _ in level.gens}
         return _Chain(self.degree, strong.values(), base_hint=base_hint, order=self.order())
@@ -394,6 +399,13 @@ class PermGroup:
     def __repr__(self):
         label = self.name or f"{len(self.generators)} gens"
         return f"PermGroup(degree={self.degree}, {label})"
+
+
+def on_base(generators, degree, base, name=None):
+    """The group of the generators, its chain laid out on the given base points first."""
+    group = PermGroup(generators, degree=degree, name=name)
+    group._base_hint = tuple(base)
+    return group
 
 
 def _adopting(generators, chain, name=None):

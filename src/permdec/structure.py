@@ -4,10 +4,12 @@ Intersection, setwise stabiliser, coset intersection, normaliser and
 conjugator share one backtrack kernel (Butler, LNCS 559; Seress,
 *Permutation Group Algorithms*, ch. 9). It runs over the base images of
 the searched group's stabiliser chain: a node fixes the images of the
-first base points, and the property prunes each candidate image (for the
-intersection and the coset search the coset property, x * v in the other
-group, read off its chain on a matching base from ``chain_with_base``)
-and tests each leaf.
+first base points, and the property prunes each candidate image and tests
+each leaf. For the intersection and the coset search the property is x * v
+in the other group, read off its ``chain_with_base`` on the searched base:
+its own chain when the two bases agree as far as both go, past whose last
+level x * v must fix each base point. Case subgroups share T's base and each
+found subgroup is laid out on the searched chain's base (``on_base``), so they agree.
 
 The conjugacy property, x with h^x = k for pairs (h, k) of equal order,
 prunes by orbits (Leon 1991): x maps each h-orbit onto a k-orbit of the
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegreeMismatch, InvalidInput, NotSubgroup, PointOutOfRange, check
-from .group import PermGroup, group_from_generators, normal_closure, orbit
+from .group import PermGroup, group_from_generators, normal_closure, on_base, orbit
 from .perm import Partition, Permutation, check_points, pack, product
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -173,7 +175,7 @@ class _Backtrack:
             order *= len(reached)
         # top-level generators first: a chain built from them measured
         # several times cheaper than one built deepest level first
-        group = PermGroup(gens[::-1], degree=self.chain.degree)
+        group = on_base(gens[::-1], self.chain.degree, self.chain.base)
         check(group.order() == order, f"{self.what} search: orbit lengths disagree with the order")
         check(all(self.leaf(g) for g in gens), f"{self.what} search: a generator fails the property")
         return group
@@ -324,10 +326,13 @@ def minimal_normal_subgroups(g, bound=ORDER_BOUND):
         raise BudgetExceeded(f"group order {order} above bound {bound}")
     if order == 1:
         return []
-    closures = []
+    # one closure per conjugacy class, an orbit under y -> s^-1 * y * s, seeded by its first element
+    mul, conj = product(g.degree), [(s.inverse().images, pack(s.images)) for s in g.generators]
+    closures, closed = [], set()  # the images of every element of each class closed
     for x in g.elements():
-        if x.is_identity():
+        if x.is_identity() or x.images in closed:
             continue
+        closed.update(orbit(x.images, conj, lambda y, c: mul(c[0], pack(mul(y, c[1])))))
         o = x.order()
         p = min(prime_divisors(o))
         y = x ** (o // p)

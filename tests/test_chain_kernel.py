@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permdec import (
@@ -615,11 +615,13 @@ def test_rebase_sweeps_when_the_strong_generators_fall_short(monkeypatch):
 
 def test_rebase_stops_at_the_known_order(monkeypatch):
     # A of the A6_36 case on the base of B: its strong generators lay out
-    # orbits of 5, 4 and 3 points there, so no Schreier generator is sifted
+    # orbits of 5, 4 and 3 points there, so no Schreier generator is sifted.
+    # Built from the case's generator lists, each group keeps its own base
+    # (load_case lays both out on T's base).
     from permdec.atlas import load_case
 
     case = load_case("A6_36")
-    a, b = case.subgroups["A"], case.subgroups["B"]
+    a, b = (PermGroup(case.subgroups[k].generators) for k in "AB")
     assert a.order() == b.order() == 60
     sifts = _count_sifts(monkeypatch)
     chain = a.chain_with_base(b.base)
@@ -691,6 +693,101 @@ def test_derived_groups_leave_the_parent_chain_unchanged():
     normal_closure(m12, [m12.generators[1]]).order()
     group_from_generators(list(stab.generators) + list(m12.generators), 12).order()
     assert _fingerprint(m12.chain) == before
+
+
+# --- one base per ambient group -----------------------------------------------------
+
+
+@st.composite
+def groups_on_one_base(draw):
+    """Degree n <= 8, an ordering of the points, and two groups laid out on it, each
+    moving at most 5 points; each base is a prefix of the ordering."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    points = draw(st.permutations(list(range(n))))
+    groups = []
+    for _ in "ab":
+        support = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2, max_size=5))
+        gens = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            images = list(range(n))
+            for src, dst in zip(support, draw(st.permutations(support))):
+                images[src] = dst
+            gens.append(Permutation(images))
+        groups.append(group_module.on_base(gens, n, points))
+    return n, points, *groups
+
+
+@settings(max_examples=80, deadline=None)
+@given(groups_on_one_base(), st.data())
+def test_searches_on_one_base_read_each_others_chains(groups, data):
+    # the bases agree as far as both go, so neither chain is rebuilt
+    n, points, a, b = groups
+    assume(len(a.base) != len(b.base))
+    assert points[:len(a.base)] == list(a.base) and points[:len(b.base)] == list(b.base)
+    closure_a, closure_b = mulclose(a.generators), mulclose(b.generators)
+    x, y = (data.draw(st.permutations(list(range(n))).map(Permutation)) for _ in "xy")
+    cosets = {h * x for h in closure_a} & {k * y for k in closure_b}
+    for (p, v), (q, w) in [((a, x), (b, y)), ((b, y), (a, x))]:
+        assert q.chain_with_base(p.base) is q.chain
+        assert intersect(p, q).element_set() == closure_a & closure_b
+        got = coset_intersection([(p, v), (q, w)])
+        assert (set() if got is None else set(got.elements())) == cosets
+
+
+def _rebuilds_in_searches(monkeypatch):
+    """Count the chains chain_with_base rebuilds inside intersect or _find_in_coset."""
+    calls = [0]
+    original = group_module._Chain.__init__
+
+    def counted(chain, *args, **kwargs):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        calls[0] += names[0] == "chain_with_base" and bool({"intersect", "_find_in_coset"} & {*names})
+        original(chain, *args, **kwargs)
+
+    monkeypatch.setattr(group_module._Chain, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["SP62_63", "A6_36", "KLEIN_GRID", "M12_144"])
+def test_case_searches_rebuild_no_chain(monkeypatch, case):
+    # 2, 6, 0 and 6 rebuilds when each case subgroup chose its own base
+    from permdec.atlas import verify_case
+
+    calls = _rebuilds_in_searches(monkeypatch)
+    assert verify_case(case)["ok"]
+    assert calls == [0]
+
+
+def test_case_subgroups_are_laid_out_on_the_base_of_t():
+    from permdec.atlas import list_cases, load_case
+
+    cases = [load_case(name) for name, _, desk_scale in list_cases() if desk_scale]
+    assert len(cases) == 4
+    for case in cases:
+        for sub in case.subgroups.values():
+            assert sub.base == case.group.base[:len(sub.base)]
+
+
+def test_search_results_are_laid_out_on_the_searched_base(monkeypatch):
+    from permdec import structure
+    from permdec.atlas import verify_case
+
+    pairs = []
+    original = structure._Backtrack.subgroup
+
+    def recorded(search, root):
+        result = original(search, root)
+        pairs.append((search.chain.base, result.base))
+        return result
+
+    monkeypatch.setattr(structure._Backtrack, "subgroup", recorded)
+    for case in ("SP62_63", "A6_36", "KLEIN_GRID", "M12_144"):
+        assert verify_case(case)["ok"]
+    assert len(pairs) > 20
+    assert all(got == searched[:len(got)] for searched, got in pairs)
 
 
 # --- small degrees --------------------------------------------------------------

@@ -6,6 +6,7 @@ import pathlib
 import random
 
 import pytest
+from conftest import corpus_group
 
 from permdec import (
     BudgetExceeded,
@@ -34,7 +35,7 @@ from permdec import structure
 from permdec.brute import mulclose
 from permdec.cartesian import enumerate_cartesian_systems
 from permdec.errors import check
-from permdec.structure import interval_subgroups, partition_from_block
+from permdec.structure import interval_subgroups, partition_from_block, prime_divisors
 
 C = Permutation.from_cycles
 
@@ -302,9 +303,13 @@ def test_only_group_reads_level_storage():
     assert found == []
 
 
+CHAIN_SLOTS = ("_chain", "_base_hint")  # a PermGroup's chain and the base it is laid out on
+
+
 def test_only_group_imports_chain_internals():
     # chains grow only inside group.py: no other module imports _Chain, _Level,
-    # _adopting or any other private name of it
+    # _adopting or any other private name of it, or assigns a group's chain or
+    # the base its chain is laid out on (on_base sets that)
     found = []
     for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
         if path.name == "group.py":
@@ -312,6 +317,13 @@ def test_only_group_imports_chain_internals():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module in ("group", "permdec.group"):
                 found += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+            targets = [*getattr(node, "targets", ()), getattr(node, "target", None)]
+            found += [(path.name, t.attr) for t in targets
+                      if isinstance(t, ast.Attribute) and t.attr in CHAIN_SLOTS]
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                    "setattr", "__setattr__"):  # setattr(group, "_chain", ...) and the like
+                found += [(path.name, a.value) for a in node.args[1:2]
+                          if isinstance(a, ast.Constant) and a.value in CHAIN_SLOTS]
     assert found == []
 
 
@@ -424,6 +436,37 @@ def test_normal_closure(s4):
     assert n.order() == 4
     n = normal_closure(s4, [C(4, [(0, 1, 2)])])
     assert n.order() == 12
+
+
+def _minimal_normal_subgroups_per_element(g):
+    """minimal_normal_subgroups with one normal closure per listed element."""
+    closures = []
+    for x in g.elements():
+        if x.is_identity():
+            continue
+        o = x.order()
+        candidate = normal_closure(g, [x ** (o // min(prime_divisors(o)))])
+        if not any(candidate.same_group(c) for c in closures):
+            closures.append(candidate)
+    minimal = [c for c in closures if not any(
+        o is not c and o.order() < c.order() and o.is_subgroup_of(c) for o in closures)]
+    return sorted(minimal, key=lambda h: (h.order(), [p.images for p in h.generators]))
+
+
+def _seeded_groups(count, bound=10**4):
+    rng = random.Random(27)
+    return [random_small_subgroup(rng.choice((6, 7, 8)), rng, bound=bound) for _ in range(count)]
+
+
+def test_one_closure_per_class_is_the_closure_per_element(corpus_entries):
+    # each class's closure is seeded by its first listed element, the seed the
+    # per-element loop keeps, so the same groups come with the same generators
+    groups = [corpus_group(entry)[0] for entry in corpus_entries] + _seeded_groups(12)
+    assert max(g.order() for g in groups) > 1000
+    for g in groups:
+        got, want = minimal_normal_subgroups(g), _minimal_normal_subgroups_per_element(g)
+        assert [[p.images for p in h.generators] for h in got] == [
+            [p.images for p in h.generators] for h in want]
 
 
 def test_minimal_normals_budget(a6):
