@@ -63,7 +63,7 @@ here, against current orbits.
 
 ``_Chain.extend`` re-sweeps only the levels a new generator touches; only
 ``group_from_generators`` and ``normal_closure`` extend, each a chain it
-then adopts. An ``on_base`` group lays its chain out on the given points,
+then adopts; ``on_base`` adopts one it lays out on the given points,
 each new level taking the next unused one, so a subgroup of G laid out on a
 base of G has a prefix of it as base. ``chain_with_base`` gives a chain, for
 reading only, whose base agrees with the given points as far as both go: the
@@ -304,7 +304,6 @@ class PermGroup:
         self.generators = generators
         self.name = name
         self._chain = None
-        self._base_hint = ()  # points the chain is laid out on first, set only by on_base
         self._rebased = {}
 
     # chain plumbing ---------------------------------------------------------
@@ -312,7 +311,7 @@ class PermGroup:
     @property
     def chain(self):
         if self._chain is None:
-            self._chain = _Chain(self.degree, self.generators, self._base_hint)
+            self._chain = _Chain(self.degree, self.generators)
         return self._chain
 
     def chain_with_base(self, base_hint):
@@ -403,9 +402,8 @@ class PermGroup:
 
 def on_base(generators, degree, base, name=None):
     """The group of the generators, its chain laid out on the given base points first."""
-    group = PermGroup(generators, degree=degree, name=name)
-    group._base_hint = tuple(base)
-    return group
+    gens = tuple(generators)
+    return _adopting(gens, _Chain(degree, gens, base), name)
 
 
 def _adopting(generators, chain, name=None):

@@ -7,8 +7,10 @@ from collections import Counter
 
 import pytest
 
-from permdec import BudgetExceeded, OrderMismatch, UnknownCase, cartesian, group, structure
+from permdec import (BudgetExceeded, InvalidInput, OrderMismatch, UnknownCase, cartesian, group,
+                     structure)
 from permdec.atlas import DEFAULT_DATA_DIR, list_cases, load_case, verify_case
+from permdec.cli import run
 
 DESK = {"KLEIN_GRID", "A6_36", "M12_144", "SP62_63"}
 METADATA_ONLY = {"POMEGA8_Q", "POMEGA8_3", "SP4Q_EVEN", "SP4A2_MULT"}
@@ -148,6 +150,60 @@ def test_unknown_construction(tmp_path):
         verify_case("KLEIN_GRID", data_dir=tmp_path)
 
 
+def _a6_copy(tmp_path, edit):
+    """Write A6_36.json with edit applied under tmp_path/cases; return the file's path."""
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / "A6_36.json").read_text())
+    edit(record)
+    path = tmp_path / "cases" / "A6_36.json"
+    path.write_text(json.dumps(record))
+    return path
+
+
+# a flag the rows read must be a bool, and the outer automorphism the one named value;
+# each of these once verified with ok: true, the last with its theta rows dropped
+MISTYPED = {"expected.full_factorisation": "no", "expected.quasiprimitive": "no",
+            "outer_automorphism": "coset_action_on_b"}
+
+
+def _mistyped(tmp_path, path):
+    *outer, key = path.split(".")
+    return _a6_copy(tmp_path, lambda r: (r[outer[0]] if outer else r).update({key: MISTYPED[path]}))
+
+
+@pytest.mark.parametrize("key", sorted(MISTYPED))
+def test_mistyped_case_field_is_invalid_input(tmp_path, key):
+    path = _mistyped(tmp_path, key)
+    with pytest.raises(InvalidInput) as info:
+        load_case("A6_36", data_dir=tmp_path)
+    message = str(info.value)
+    assert message.startswith(f"case A6_36 ({path}): {key} must be ")
+    assert message.endswith(f"got {MISTYPED[key]!r}")
+
+
+@pytest.mark.parametrize("key", sorted(MISTYPED))
+def test_mistyped_case_field_is_a_json_error(capsys, tmp_path, key):
+    path = _mistyped(tmp_path, key)
+    assert run(["atlas", "verify", "A6_36", "--data-dir", str(tmp_path)]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["error"] == "InvalidInput"
+    assert data["message"].startswith(f"case A6_36 ({path}): {key} must be ")
+
+
+def test_case_without_the_optional_flags_verifies(tmp_path):
+    # absent flags switch their rows off; the theta rows still run, and pass
+    def drop(record):
+        del record["expected"]["quasiprimitive"], record["expected"]["full_factorisation"]
+
+    _a6_copy(tmp_path, drop)
+    assert load_case("A6_36", data_dir=tmp_path).outer_automorphism is not None
+    report = verify_case("A6_36", data_dir=tmp_path)
+    assert report["ok"], report.get("failures")
+    checks = [c["check"] for c in report["checks"]]
+    assert "trivial_centraliser" not in checks and "conjugation_transitivity" not in checks
+    assert {"full_factorisation", "pair_equivalent_under_theta"} <= set(checks)
+
+
 def test_sp62_values(sp62_case):
     exp = sp62_case.expected
     assert exp["omega_size"] == 120960
@@ -155,15 +211,27 @@ def test_sp62_values(sp62_case):
     assert sorted(exp["indices"]) == [28, 36, 120]
 
 
-def test_generator_reproduces_bundled_data(capsys):
-    # the regeneration tool rebuilds and checks every file under data/;
-    # rendered() returns the texts without writing anything
+def _generator():
     path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_case_data.py"
     spec = importlib.util.spec_from_file_location("gen_case_data", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    files = tool.rendered()
+    return tool
+
+
+def test_generator_reproduces_bundled_data(capsys):
+    # the regeneration tool rebuilds and checks every file under data/;
+    # rendered() returns the texts without writing anything
+    files = _generator().rendered()
     bundled = sorted(DEFAULT_DATA_DIR.rglob("*.json"))
     assert sorted(files) == bundled
     for file, text in files.items():
         assert file.read_bytes() == text.encode(), file.name
+
+
+def test_generator_reads_each_record_back_through_the_loader(capsys, monkeypatch):
+    tool = _generator()
+    a6_case = tool.a6_case
+    monkeypatch.setattr(tool, "a6_case", lambda: {**a6_case(), "outer_automorphism": "theta"})
+    with pytest.raises(InvalidInput, match="outer_automorphism must be"):
+        tool.rendered()

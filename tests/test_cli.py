@@ -416,13 +416,15 @@ def _relabel(record, old, new):
     ("KLEIN_GRID", lambda r: r.pop("group")),
     ("KLEIN_GRID", lambda r: r.pop("subgroups")),
     ("KLEIN_GRID", lambda r: r.pop("expected")),
+    ("KLEIN_GRID", lambda r: r.update(expected=5)),
     ("KLEIN_GRID", lambda r: r["expected"].pop("T_order")),
     ("KLEIN_GRID", lambda r: r["expected"]["subgroup_orders"].pop("K2")),
     ("KLEIN_GRID", lambda r: r.update(subgroups=list(r["subgroups"].values()))),
     ("A6_36", lambda r: _relabel(r, "A", "C")),
     ("A6_36", lambda r: _relabel(r, "B", "C")),
-], ids=["no group", "no subgroups", "no expected", "no T_order", "no subgroup order",
-        "subgroups not an object", "coset case without A", "coset case without B"])
+], ids=["no group", "no subgroups", "no expected", "expected not an object", "no T_order",
+        "no subgroup order", "subgroups not an object", "coset case without A",
+        "coset case without B"])
 def test_case_file_without_a_field_is_a_json_error(capsys, tmp_path, case, edit):
     (tmp_path / "cases").mkdir()
     record = json.loads((DEFAULT_DATA_DIR / "cases" / f"{case}.json").read_text())

@@ -303,13 +303,12 @@ def test_only_group_reads_level_storage():
     assert found == []
 
 
-CHAIN_SLOTS = ("_chain", "_base_hint")  # a PermGroup's chain and the base it is laid out on
+CHAIN_SLOTS = ("_chain",)  # a PermGroup's chain
 
 
 def test_only_group_imports_chain_internals():
     # chains grow only inside group.py: no other module imports _Chain, _Level,
-    # _adopting or any other private name of it, or assigns a group's chain or
-    # the base its chain is laid out on (on_base sets that)
+    # _adopting or any other private name of it, or assigns a group's chain
     found = []
     for path in sorted(pathlib.Path(structure.__file__).parent.glob("*.py")):
         if path.name == "group.py":

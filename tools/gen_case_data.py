@@ -3,9 +3,10 @@
 Constructions are deterministic: explicit generator words where known,
 plus seeded random subgroup searches (seed 20260823) for the two
 subgroups that are easiest to find that way. Every generated record is
-verified against the expected orders before anything is written, so a
-failed regeneration never overwrites good data. The checks raise
-explicitly and so hold under ``python -O`` as well.
+verified against the expected orders and read back through the atlas
+loader, which checks its fields and recomputes its orders, before anything
+is written, so a failed regeneration never overwrites good data. The
+checks raise explicitly and so hold under ``python -O`` as well.
 
 Run from the repository root: ``python3 tools/gen_case_data.py``.
 """
@@ -18,6 +19,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from permdec.atlas import _read_case  # noqa: E402
 from permdec.group import PermGroup, group_from_generators  # noqa: E402
 from permdec.perm import Permutation  # noqa: E402
 from permdec.structure import intersect  # noqa: E402
@@ -354,6 +356,8 @@ def corpus():
 def rendered():
     """Every bundled data file as {path: text}, built and checked; nothing is written."""
     cases = [klein_case(), a6_case(), m12_case(), sp62_case()] + metadata_cases()
+    for case in cases:  # as the atlas will read it back from its file
+        _read_case(case["name"], json.loads(json.dumps(case)))
     files = {DATA / "cases" / f"{case['name']}.json": case for case in cases}
     files[DATA / "corpus.json"] = corpus()
     return {path: json.dumps(data, indent=1) + "\n" for path, data in files.items()}
