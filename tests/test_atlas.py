@@ -160,8 +160,8 @@ def _a6_copy(tmp_path, edit):
     return path
 
 
-# a flag the rows read must be a bool, and the outer automorphism the one named value;
-# each of these once verified with ok: true, the last with its theta rows dropped
+# a flag the rows read must be a bool, and the outer automorphism the one named value,
+# or the case does not load: a near miss must not switch rows on or off unseen
 MISTYPED = {"expected.full_factorisation": "no", "expected.quasiprimitive": "no",
             "outer_automorphism": "coset_action_on_b"}
 
