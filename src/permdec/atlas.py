@@ -29,22 +29,23 @@ from .wreath import full_stabiliser
 
 DEFAULT_DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 # The fields a desk-scale record's load and each construction's rows read, by dotted
-# path, and what each may hold: a JSON type (a list holds integers), a literal value,
-# or None for absent.
+# path, and what each may hold: a JSON type, list[t] or dict[str, t] of a type's values,
+# a literal value, or None for absent. Every record holds a bool desk_scale.
+_HEAD = {"desk_scale": bool}
 _CASE = {"group": dict, "subgroups": dict, "expected": dict, "expected.T_order": int,
-         "expected.subgroup_orders": dict}
+         "expected.subgroup_orders": dict[str, int]}
 _DECOMPOSITION = {**_CASE, "expected.intersection_order": int, "expected.cd_count": int,
-                  "expected.index": int, "expected.K_orders": list, "expected.W_order": int}
+                  "expected.index": int, "expected.K_orders": list[int], "expected.W_order": int}
 _FIELDS = {
     "direct": _DECOMPOSITION,
     "coset_action": {**_DECOMPOSITION, "expected.omega_size": int,
                      "expected.quasiprimitive": (bool, None),
                      "expected.full_factorisation": (bool, None),
                      "outer_automorphism": ("coset_action_on_B", None)},
-    "abstract_system": {**_CASE, "expected.pairwise_intersections": dict,
+    "abstract_system": {**_CASE, "expected.pairwise_intersections": dict[str, int],
                         "expected.triple_intersection": int,
                         "expected.strong_multiple_factorisation": bool,
-                        "expected.indices": list, "expected.omega_size": int},
+                        "expected.indices": list[int], "expected.omega_size": int},
 }
 
 
@@ -77,19 +78,34 @@ def _case_path(name, data_dir):
     return cases / f"{name}.json"
 
 
+def _read(path, read):
+    """read(the record at path), with any InvalidInput naming the case and its file."""
+    try:
+        return read(io.load_json(path))
+    except InvalidInput as exc:
+        raise InvalidInput(f"case {path.stem} ({path}): {exc}") from exc
+
+
 def list_cases(data_dir=None):
     """All bundled cases as (name, citation, desk_scale), sorted by name."""
-    return [tuple(io.fields(io.load_json(path), "name", "citation", "desk_scale"))
+    return [_read(path, lambda data: (*io.fields(data, "name", "citation"),
+                                      _checked(data, _HEAD)["desk_scale"]))
             for path in sorted(_cases_dir(data_dir).glob("*.json"))]
 
 
 def load_case(name, data_dir=None):
     """Load a bundled case, recomputing and checking every recorded order."""
-    path = _case_path(name, data_dir)
-    try:
-        return _read_case(name, io.load_json(path))
-    except InvalidInput as exc:  # name the case and its file
-        raise InvalidInput(f"case {name} ({path}): {exc}") from exc
+    return _read(_case_path(name, data_dir), lambda data: _read_case(name, data))
+
+
+def _fits(value, kind):
+    """Whether a JSON value is of a kind: a literal string, a type, list[t] or dict[str, t]."""
+    if type(kind) is str:
+        return value == kind
+    if type(kind) is type:
+        return type(value) is kind
+    items = value.values() if type(value) is dict else value
+    return type(value) is kind.__origin__ and all(_fits(x, kind.__args__[-1]) for x in items)
 
 
 def _checked(data, fields):
@@ -102,16 +118,16 @@ def _checked(data, fields):
         kinds = kinds if isinstance(kinds, tuple) else (kinds,)
         if key in obj or None not in kinds:
             [value] = io.fields(obj, key)
-            if not any(value == k if type(k) is str else type(value) is k and (
-                    k is not list or all(type(x) is int for x in value)) for k in kinds):
+            if not any(_fits(value, k) for k in kinds if k is not None):
                 names = ["absent" if k is None else repr(k) if type(k) is str else
-                         f"of type {'list of int' if k is list else k.__name__}" for k in kinds]
+                         f"of type {k.__name__ if type(k) is type else k}" for k in kinds]
                 raise InvalidInput(f"{path} must be {' or '.join(names)}, got {value!r:.80}")
             found[path] = value
     return found
 
 
 def _read_case(name, data):
+    _checked(data, _HEAD)
     record = CaseRecord(*io.fields(data, "name", "desk_scale", "citation", "expected"),
                         construction=data.get("construction"), note=data.get("note"))
     if not record.desk_scale:
@@ -138,7 +154,7 @@ def _read_case(name, data):
         if not (action.is_faithful() and action.degree == group.degree):
             raise OrderMismatch(f"{name}: the action on the cosets of B is not a faithful "
                                 f"action of degree {group.degree}")
-        record.outer_automorphism = Automorphism(action.act, name="theta")
+        record.outer_automorphism = Automorphism(action.act)
     return record
 
 

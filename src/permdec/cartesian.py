@@ -314,12 +314,13 @@ def _resolve_plinth(g, plinth, bound):
 def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=ORDER_BOUND):
     """All G_omega-invariant Cartesian systems of the plinth, as block subsets.
 
-    Works entirely in the lattice of blocks through omega: a subgroup
-    between M_omega and M corresponds to the block that is its
-    omega-orbit, intersections of subgroups correspond to intersections
-    of blocks, and the system equations become counting conditions on
-    blocks. Returns (plinth, list of block tuples, block -> stabiliser in
-    the plinth), the stabilisers as the lattice generates them.
+    Works entirely in the lattice of blocks through omega, where a subgroup
+    between M_omega and M is its omega-orbit and a meet of subgroups the meet
+    of their blocks. Blocks B_i meeting in {omega}, eq. (1), with indices
+    n / |B_i| of product n also satisfy eq. (2): for L_i the meet of the other
+    K_j, |M : L_i| <= n / |M : K_i|, so |K_i L_i| = |K_i||L_i| / |M_omega| >= |M|.
+    Returns (plinth, list of block tuples, block -> stabiliser in the plinth),
+    the stabilisers as the lattice generates them.
     """
     g.require_transitive()
     m = _resolve_plinth(g, plinth, bound)
@@ -332,32 +333,17 @@ def enumerate_cartesian_systems(g, omega=0, plinth=None, bound=ORDER_BOUND):
 
     results = []
 
-    def eqs_hold(chosen):
-        inter_all = frozenset.intersection(*chosen)
-        if inter_all != frozenset({omega}):
-            return False
-        for i in range(len(chosen)):
-            rest = [b for j, b in enumerate(chosen) if j != i]
-            other = frozenset.intersection(*rest)
-            check(other in stabilisers, "an intersection of blocks through omega is not a block")
-            if len(chosen[i]) * len(other) != n:
-                return False
-        return True
-
     def gomega_invariant(chosen):
         chosen_set = set(chosen)
-        return all(
-            frozenset(x.images[p] for p in b) in chosen_set
-            for b in chosen
-            for x in stab_gens
-        )
+        return all(x.act_on_set(b) in chosen_set for b in chosen for x in stab_gens)
 
     # depth-first over increasing block indices; children are pushed in
     # reverse so they pop, and results appear, in ascending order
     stack = [(0, [], 1)]
     while stack:
         start, chosen, prod = stack.pop()
-        if len(chosen) >= 2 and prod == n and eqs_hold(chosen) and gomega_invariant(chosen):
+        if (len(chosen) >= 2 and prod == n and frozenset.intersection(*chosen) == {omega}
+                and gomega_invariant(chosen)):
             results.append(tuple(chosen))
         if prod >= n:
             continue

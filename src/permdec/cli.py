@@ -138,21 +138,16 @@ def cmd_atlas(args):
 
 def cmd_corpus(args):
     results = []
-    ok = True
     for name, _, desk in atlas.list_cases(args.data_dir):
         if not desk:
             continue
         try:
             rep = atlas.verify_case(name, data_dir=args.data_dir, budget=args.budget)
-            passed = rep["ok"]
         except PermdecError as exc:
-            passed = False
             rep = {"case": name, "ok": False, "error": type(exc).__name__, "message": str(exc)}
         results.append(rep)
-        ok = ok and passed
-    oracle = _run_oracle_suite()
-    results.extend(oracle)
-    ok = ok and all(r["ok"] for r in oracle)
+    results.extend(_run_oracle_suite())
+    ok = all(r["ok"] for r in results)
     report = {"results": results, "ok": ok}
     if args.pretty:
         for r in results:

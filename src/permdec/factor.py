@@ -151,22 +151,15 @@ def conjugation_transitivity_check(g, a, b):
 class Automorphism:
     """A group automorphism given as an explicit map on permutations."""
 
-    def __init__(self, fn, name=None):
+    def __init__(self, fn):
         self._fn = fn
-        self.name = name
 
     @staticmethod
-    def identity(name="id"):
-        return Automorphism(lambda x: x, name=name)
-
-    def apply(self, x):
-        return self._fn(x)
+    def identity():
+        return Automorphism(lambda x: x)
 
     def apply_group(self, k):
         return PermGroup([self._fn(g) for g in k.generators], degree=k.degree, name=k.name)
-
-    def __repr__(self):
-        return f"Automorphism({self.name or 'unnamed'})"
 
 
 def _find_conjugator(g, h, k):

@@ -64,7 +64,7 @@ here, against current orbits.
 ``_Chain.extend`` re-sweeps only the levels a new generator touches; only
 ``group_from_generators`` and ``normal_closure`` extend, each a chain it
 then adopts; ``on_base`` adopts one it lays out on the given points,
-each new level taking the next unused one, so a subgroup of G laid out on a
+each new level taking the next one, so a subgroup of G laid out on a
 base of G has a prefix of it as base. ``chain_with_base`` gives a chain, for
 reading only, whose base agrees with the given points as far as both go: the
 cached one if it does (past a chain's end the stabiliser is trivial), else a
@@ -153,7 +153,7 @@ class _Chain:
         self.degree = degree
         self.levels = []
         self._order = order
-        self._hint = list(base_hint)
+        self._hint = iter(base_hint)
         self.mul = product(degree)
         self.identity = identity_images(degree)
         self.identity_table = pack(self.identity)
@@ -167,11 +167,8 @@ class _Chain:
         return tuple([level.point for level in self.levels])
 
     def _new_level_point(self, g):
-        while self._hint:
-            point = self._hint.pop(0)
-            if all(point != level.point for level in self.levels):
-                return point
-        return g.first_moved()
+        point = next(self._hint, None)  # no hint repeats a point
+        return g.first_moved() if point is None else point
 
     def _add_gen(self, g, start):
         """Append g to levels start..k, k the first whose point g moves; return that range."""

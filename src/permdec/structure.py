@@ -72,9 +72,6 @@ class Coset:
         ids = _orbit_ids(self.subgroup)
         return hash(frozenset((ids[p], x) for p, x in enumerate(self.representative.images)))
 
-    def contains(self, p):
-        return self.subgroup.contains(p * self.representative.inverse())
-
     def elements(self):
         return [e * self.representative for e in self.subgroup.elements()]
 
@@ -362,22 +359,15 @@ def is_innately_transitive(g, bound=ORDER_BOUND):
 
 
 def centraliser_in_symmetric(g):
-    """The centraliser of a transitive group in the full symmetric group."""
+    """The centraliser of a transitive group in the full symmetric group: the maps
+    0^u -> b^u for u in g, one per point b that G_0 fixes (Dixon & Mortimer, Thm 4.2A)."""
     g.require_transitive()
     stab = g.point_stabiliser(0)
     trans = g.orbit_transversal(0)
-    elements = []
-    for beta in range(g.degree):
-        if any(s.images[beta] != beta for s in stab.generators):
-            continue
-        images = [0] * g.degree
-        for gamma, u in trans.items():
-            images[gamma] = u.images[beta]
-        if sorted(images) != list(range(g.degree)):
-            continue
-        c = Permutation(images)
-        if all((c * s).images == (s * c).images for s in g.generators):
-            elements.append(c)
+    fixed = [b for b in range(g.degree) if all(s.images[b] == b for s in stab.generators)]
+    elements = [Permutation([trans[x].images[b] for x in range(g.degree)]) for b in fixed]
+    check(all((c * s).images == (s * c).images for c in elements for s in g.generators),
+          "a centraliser element does not commute with the group")
     cent = group_from_generators(elements, g.degree)
     check(cent.order() == len(elements), "centraliser elements are not a group")
     return cent

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 import shutil
 import sys
 from collections import Counter
@@ -150,12 +151,13 @@ def test_unknown_construction(tmp_path):
         verify_case("KLEIN_GRID", data_dir=tmp_path)
 
 
-def _a6_copy(tmp_path, edit):
-    """Write A6_36.json with edit applied under tmp_path/cases; return the file's path."""
+def _a6_copy(tmp_path, edit, name="A6_36"):
+    """Write the case's record, A6_36's by default, with edit applied under
+    tmp_path/cases; return the file's path."""
     (tmp_path / "cases").mkdir()
-    record = json.loads((DEFAULT_DATA_DIR / "cases" / "A6_36.json").read_text())
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / f"{name}.json").read_text())
     edit(record)
-    path = tmp_path / "cases" / "A6_36.json"
+    path = tmp_path / "cases" / f"{name}.json"
     path.write_text(json.dumps(record))
     return path
 
@@ -202,6 +204,58 @@ def test_case_without_the_optional_flags_verifies(tmp_path):
     checks = [c["check"] for c in report["checks"]]
     assert "trivial_centraliser" not in checks and "conjugation_transitivity" not in checks
     assert {"full_factorisation", "pair_equivalent_under_theta"} <= set(checks)
+
+
+def _as_strings(record, key):
+    values = record["expected"][key]
+    values.update({label: str(value) for label, value in values.items()})
+
+
+# each record loads at the parent: a desk_scale that is no bool made the case metadata only,
+# and a string order ended as a failed row or as an OrderMismatch between equal numbers
+LOADER_PROBES = {
+    "desk_scale 0": ("KLEIN_GRID", "desk_scale", lambda r: r.update(desk_scale=0)),
+    "desk_scale null": ("KLEIN_GRID", "desk_scale", lambda r: r.update(desk_scale=None)),
+    "pairwise intersections as strings": (
+        "SP62_63", "expected.pairwise_intersections",
+        lambda r: _as_strings(r, "pairwise_intersections")),
+    "subgroup order as a string": (
+        "A6_36", "expected.subgroup_orders", lambda r: r["expected"]["subgroup_orders"].update(A="60")),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(LOADER_PROBES))
+def test_mistyped_record_field_names_the_field_and_the_file(capsys, tmp_path, probe):
+    name, key, edit = LOADER_PROBES[probe]
+    path = _a6_copy(tmp_path, edit, name)
+    prefix = f"case {name} ({path}): {key} must be "
+    with pytest.raises(InvalidInput, match="^" + re.escape(prefix)):
+        load_case(name, data_dir=tmp_path)
+    data_dir = ["--data-dir", str(tmp_path)]
+    assert run(["atlas", "verify", name] + data_dir) == 1
+    assert json.loads(capsys.readouterr().out)["message"].startswith(prefix)
+    assert run(["corpus"] + data_dir) == 1
+    report = json.loads(capsys.readouterr().out)
+    listed = run(["atlas", "list"] + data_dir)
+    listing = json.loads(capsys.readouterr().out)
+    if key == "desk_scale":  # which every listing reads
+        assert report["error"] == listing["error"] == "InvalidInput" and listed == 1
+        assert report["message"].startswith(prefix) and listing["message"].startswith(prefix)
+    else:  # the corpus verifies the case; the listing does not read the field
+        [row] = [r for r in report["results"] if r["case"] == name]
+        assert row["error"] == "InvalidInput" and row["message"].startswith(prefix)
+        assert listed == 0 and listing["cases"][0]["name"] == name
+
+
+def test_outer_automorphism_needs_b_of_the_group_degree_as_index(tmp_path):
+    # B = a cyclic group of order 5 has index 72, so A6 on its cosets is no automorphism
+    def cyclic_b(record):
+        record["subgroups"]["B"] = [[1, 2, 3, 4, 0, 5]]
+        record["expected"]["subgroup_orders"]["B"] = 5
+
+    _a6_copy(tmp_path, cyclic_b)
+    with pytest.raises(OrderMismatch, match="not a faithful action of degree 6"):
+        load_case("A6_36", data_dir=tmp_path)
 
 
 def test_sp62_values(sp62_case):

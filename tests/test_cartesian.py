@@ -12,8 +12,11 @@ from permdec import (
     DegreeMismatch,
     InvalidDecomposition,
     InvalidSystem,
+    BudgetExceeded,
+    CosetAction,
     NotInnatelyTransitive,
     NotInvariant,
+    NotSubgroup,
     Partition,
     PointOutOfRange,
     PermGroup,
@@ -29,9 +32,10 @@ from permdec import (
     validate_decomposition,
     validate_system,
 )
-from permdec import cartesian
+from permdec import brute, cartesian
 from permdec.atlas import load_case
-from permdec.brute import brute_force_decompositions, is_cartesian_set, product_set
+from permdec.brute import (brute_force_decompositions, is_cartesian_set, mulclose, product_set,
+                           uniform_partitions)
 from permdec.wreath import natural_decomposition, product_action_wreath, WreathSpec
 
 C = Permutation.from_cycles
@@ -469,3 +473,94 @@ def test_equivariance_of_bijection(a6_36):
                 p2 == img_part and s2.same_group(img_sub) for p2, s2 in pairs
             ]
             assert any(matches)
+
+
+V4 = PermGroup([C(4, [(0, 1), (2, 3)]), C(4, [(0, 2), (1, 3)])])
+S4 = PermGroup([C(4, [(0, 1, 2, 3)]), C(4, [(0, 1)])])
+C4 = PermGroup([C(4, [(0, 1, 2, 3)])])
+ON_SIX = PermGroup([C(6, [(0, 1)])])
+NOT_A_DECOMPOSITION = CartesianDecomposition([Partition([(0, 1), (2, 3)]),
+                                              Partition([(0,), (1,), (2,), (3,)])])
+
+
+# each call fails one input check that the other tests do not reach
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: CartesianDecomposition([]), InvalidDecomposition, "no partitions"),
+    (lambda: is_invariant(ON_SIX, GRID), DegreeMismatch, "degrees 6 and 4"),
+    (lambda: CartesianSystem(V4, 0, [C4]), NotSubgroup, "system member"),
+    (lambda: plinth_fixes_partitions(ON_SIX, GRID), DegreeMismatch, "degrees 6 and 4"),
+    (lambda: to_system(V4, NOT_A_DECOMPOSITION), InvalidDecomposition, "witness"),
+    (lambda: covariance_check(V4, GRID, 0, C(4, [(0, 1)])), NotSubgroup, "moving element"),
+    (lambda: enumerate_cartesian_decompositions(V4, plinth=PermGroup([C(4, [(0, 1), (2, 3)])])),
+     NotInnatelyTransitive, "not transitive"),
+    (lambda: enumerate_cartesian_decompositions(V4, plinth=C4), NotSubgroup, "not a subgroup"),
+    (lambda: enumerate_cartesian_decompositions(S4, plinth=C4), NotInnatelyTransitive, "not normal"),
+], ids=["no partitions", "invariance degree", "system member", "plinth degree",
+        "to_system of a non-decomposition", "covariance mover", "plinth not transitive",
+        "plinth not a subgroup", "plinth not normal"])
+def test_cartesian_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("other", [
+    lambda k: CartesianSystem(k.ambient, 1, k.subgroups),
+    lambda k: CartesianSystem(k.ambient, 0, k.subgroups[:1]),
+    lambda k: CartesianSystem(S4, 0, [PermGroup([C(4, [(1, 2, 3)])])] * 2),
+    lambda k: CartesianSystem(k.ambient, 0, [k.subgroups[0]] * 2),
+], ids=["base point", "index", "ambient", "subgroups"])
+def test_same_system_tells_systems_apart(other):
+    k = to_system(V4, GRID)
+    assert k.same_system(k) and not k.same_system(other(k))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: brute_force_decompositions(V4),
+    lambda: mulclose(S4.generators),
+], ids=["oracle steps", "closure size"])
+def test_brute_force_budgets(monkeypatch, call):
+    monkeypatch.setattr(brute, "ORACLE_STEP_BUDGET", 2)
+    monkeypatch.setattr(brute, "CLOSURE_LIMIT", 2)
+    with pytest.raises(BudgetExceeded):
+        call()
+
+
+def test_uniform_partitions_of_a_size_that_does_not_divide():
+    assert uniform_partitions(5, 2) == [] and len(uniform_partitions(4, 2)) == 3
+
+
+def _seeded_transitive_groups(seed):
+    """Transitive subgroups of product-action wreath products, and transitive coset
+    actions of S5, A5 and A6 on at most 72 points, each drawn from random generators."""
+    rng = random.Random(seed)
+    out = []
+    for base, ell in ((2, 2), (3, 2), (2, 3), (4, 2)):
+        w, _ = product_action_wreath(WreathSpec(base, ell))
+        draws = [PermGroup([w.random_element(rng) for _ in range(rng.randint(1, 3))], degree=w.degree)
+                 for _ in range(12)]
+        out += [h for h in draws if h.is_transitive()]
+    for g in (PermGroup([C(5, [(0, 1, 2, 3, 4)]), C(5, [(0, 1)])]),
+              PermGroup([C(5, [(0, 1, 2)]), C(5, [(0, 1, 2, 3, 4)])]),
+              PermGroup([C(6, [(0, 1, 2, 3, 4)]), C(6, [(1, 2, 3, 4, 5)])])):
+        draws = [PermGroup([g.random_element(rng) for _ in range(rng.randint(1, 2))], degree=g.degree)
+                 for _ in range(40)]
+        out += [CosetAction(g, h).image for h in draws if 1 < g.order() // h.order() <= 72]
+    return out
+
+
+@pytest.mark.parametrize("seed", [3201, 3202])
+def test_every_enumerated_system_is_valid(seed):
+    # the enumerator keeps a block tuple by eq. (1) and the index product alone;
+    # eq. (2), which those imply, is checked here on every system it returns
+    found = 0
+    for g in _seeded_transitive_groups(seed):
+        m, block_tuples, stabilisers = cartesian.enumerate_cartesian_systems(g, plinth=g)
+        n = g.degree
+        for chosen in block_tuples:
+            k = CartesianSystem(m, 0, [stabilisers[b] for b in chosen])
+            assert validate_system(k).valid, (n, chosen)
+            for i, b in enumerate(chosen):  # eq. (2) counted on blocks
+                rest = [c for j, c in enumerate(chosen) if j != i]
+                assert len(b) * len(frozenset.intersection(*rest)) == n
+        found += len(block_tuples)
+    assert found >= 20

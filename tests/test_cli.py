@@ -404,7 +404,7 @@ def test_bad_case_file_is_a_json_error(capsys, tmp_path, argv, drop):
                     json.dumps({k: v for k, v in record.items() if k != drop}))
     code, data = invoke(capsys, argv + ["--data-dir", str(tmp_path)])
     assert code == 1
-    assert data["error"] == "InvalidInput" and data["message"]
+    assert data["error"] == "InvalidInput" and str(case) in data["message"]
 
 
 def _relabel(record, old, new):
@@ -544,6 +544,19 @@ def test_case_file_with_a_wrong_typed_expected_value_is_a_json_error(capsys, tmp
     code, data = invoke(capsys, ["atlas", "verify", case, "--data-dir", str(tmp_path)])
     assert code == 1
     assert data["error"] == "InvalidInput" and key in data["message"]
+
+
+def test_corpus_reports_a_case_whose_verify_raises_as_a_failed_row(capsys, tmp_path):
+    (tmp_path / "cases").mkdir()
+    record = json.loads((DEFAULT_DATA_DIR / "cases" / "KLEIN_GRID.json").read_text())
+    record["expected"]["T_order"] = 5
+    (tmp_path / "cases" / "KLEIN_GRID.json").write_text(json.dumps(record))
+    code, data = invoke(capsys, ["corpus", "--data-dir", str(tmp_path)])
+    assert code == 1 and not data["ok"]
+    first, *oracle = data["results"]
+    assert first == {"case": "KLEIN_GRID", "ok": False, "error": "OrderMismatch",
+                     "message": "KLEIN_GRID: group order 4 != recorded 5"}
+    assert oracle and all(r["ok"] for r in oracle)
 
 
 def test_corpus_pretty_writes_out(capsys, tmp_path):

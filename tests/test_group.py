@@ -3,6 +3,7 @@ import random
 import pytest
 
 from permdec import (
+    DegreeMismatch,
     InvalidInput,
     NotTransitive,
     PermGroup,
@@ -139,3 +140,12 @@ def test_require_transitive(klein):
     klein.require_transitive()
     with pytest.raises(NotTransitive):
         PermGroup((), degree=3).require_transitive()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PermGroup([C(4, [(0, 1)]), C(5, [(0, 1)])]),
+    lambda: PermGroup([C(4, [(0, 1)])]).is_subgroup_of(PermGroup([C(5, [(0, 1)])])),
+], ids=["generators", "subgroup test"])
+def test_degrees_must_agree(call):
+    with pytest.raises(DegreeMismatch):
+        call()

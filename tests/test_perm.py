@@ -196,6 +196,8 @@ def test_partition_apply():
     assert p.apply(g) == Partition([[0, 2], [1, 3]])
     assert p.block_containing(2) == (2, 3)
     assert p.block_index_of() == [0, 0, 1, 1]
+    with pytest.raises(DegreeMismatch):
+        p.apply(C(5, [(1, 2)]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 24, 255, 256, 257])
@@ -239,3 +241,12 @@ def test_json_round_trip_at_the_packing_boundary(n):
     data = json.loads(dump_json(group_to_json(g)))
     assert data["generators"] == [list(p.images) for p in g.generators]
     assert group_from_json(data).generators == g.generators
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda path: dump_json(object()), TypeError),
+    (lambda path: dump_json({}, path=path), InvalidInput),
+], ids=["a value JSON cannot hold", "a directory as the file"])
+def test_dump_json_refuses(tmp_path, call, error):
+    with pytest.raises(error):
+        call(tmp_path)

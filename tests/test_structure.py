@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import itertools
 import math
 import pathlib
 import random
@@ -19,6 +20,7 @@ from permdec import (
     PermdecError,
     PermGroup,
     Permutation,
+    PointOutOfRange,
     block_systems,
     centraliser_in_symmetric,
     coset_intersection,
@@ -481,6 +483,33 @@ def test_centraliser_trivial(a6):
     assert centraliser_in_symmetric(a6).order() == 1
 
 
+def _commuting(g):
+    """Every permutation of g's points that commutes with each generator, by enumeration."""
+    gens = [s.images for s in g.generators]
+    return {Permutation(c) for c in itertools.permutations(range(g.degree))
+            if all(s[c[x]] == c[s[x]] for s in gens for x in range(g.degree))}
+
+
+def _seeded_transitive_small(seed, count):
+    """Groups of degree 3 to 7, each a random n-cycle with or without a random permutation."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        gens = [C(n, [rng.sample(range(n), n)]), Permutation(rng.sample(range(n), n))]
+        out.append(PermGroup(gens[:rng.randint(1, 2)], degree=n))
+    return out
+
+
+def test_centraliser_is_every_commuting_permutation(corpus_entries):
+    groups = [corpus_group(e)[0] for e in corpus_entries if e["degree"] <= 7]
+    groups += _seeded_transitive_small(3301, 24)
+    orders = [centraliser_in_symmetric(g).order() for g in groups]
+    assert min(orders) == 1 and max(orders) >= 6
+    for g in groups:
+        assert centraliser_in_symmetric(g).element_set() == _commuting(g), g.generators
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_normaliser_matches_enumeration(n):
     # h is a subgroup of g half of the time and an arbitrary subgroup of Sym(n) otherwise
@@ -618,3 +647,24 @@ def test_coset_numbering_pinned(a6_36, m12_144, sp62_case):
         got[name] = digest.hexdigest()
     assert (a6_36.degree, m12_144.degree, sp62_k1.degree) == (36, 144, 120)
     assert got == COSET_IMAGE_DIGESTS
+
+
+ON_FOUR, ON_FIVE = PermGroup([C(4, [(0, 1)])]), PermGroup([C(5, [(0, 1)])])
+
+
+# each call fails one input check that the other tests do not reach
+@pytest.mark.parametrize("call,error", [
+    (lambda: intersect(ON_FOUR, ON_FIVE), DegreeMismatch),
+    (lambda: setwise_stabiliser(ON_FOUR, []), PointOutOfRange),
+    (lambda: coset_intersection([(ON_FOUR, C(4, [])), (ON_FIVE, C(5, []))]), DegreeMismatch),
+    (lambda: normaliser_in(ON_FOUR, ON_FIVE), DegreeMismatch),
+], ids=["intersect", "setwise stabiliser of no points", "coset intersection", "normaliser"])
+def test_structure_input_checks(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_setwise_stabiliser_of_every_point_and_coset_against_another_type():
+    assert setwise_stabiliser(ON_FOUR, range(4)) is ON_FOUR
+    assert Coset(ON_FOUR, C(4, [])).__eq__(ON_FOUR) is NotImplemented
+    assert Coset(ON_FOUR, C(4, [])) != ON_FOUR

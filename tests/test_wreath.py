@@ -6,6 +6,7 @@ import pytest
 
 from permdec import (
     BudgetExceeded,
+    InvalidDecomposition,
     InvalidInput,
     Partition,
     Permutation,
@@ -186,3 +187,9 @@ def test_full_stabiliser_one_block_partition():
     assert not result.homogeneous
     assert result.group.order() == result.expected_order == 8
     assert is_invariant(result.group, e).invariant
+
+
+def test_full_stabiliser_refuses_an_invalid_decomposition():
+    e = CartesianDecomposition([Partition([(0, 1), (2, 3)]), Partition([(0, 1), (2,), (3,)])])
+    with pytest.raises(InvalidDecomposition, match="witness"):
+        full_stabiliser(e)
