@@ -151,7 +151,7 @@ def test_unknown_construction(tmp_path):
         verify_case("KLEIN_GRID", data_dir=tmp_path)
 
 
-def _a6_copy(tmp_path, edit, name="A6_36"):
+def _case_copy(tmp_path, edit, name="A6_36"):
     """Write the case's record, A6_36's by default, with edit applied under
     tmp_path/cases; return the file's path."""
     (tmp_path / "cases").mkdir()
@@ -170,7 +170,7 @@ MISTYPED = {"expected.full_factorisation": "no", "expected.quasiprimitive": "no"
 
 def _mistyped(tmp_path, path):
     *outer, key = path.split(".")
-    return _a6_copy(tmp_path, lambda r: (r[outer[0]] if outer else r).update({key: MISTYPED[path]}))
+    return _case_copy(tmp_path, lambda r: (r[outer[0]] if outer else r).update({key: MISTYPED[path]}))
 
 
 @pytest.mark.parametrize("key", sorted(MISTYPED))
@@ -197,7 +197,7 @@ def test_case_without_the_optional_flags_verifies(tmp_path):
     def drop(record):
         del record["expected"]["quasiprimitive"], record["expected"]["full_factorisation"]
 
-    _a6_copy(tmp_path, drop)
+    _case_copy(tmp_path, drop)
     assert load_case("A6_36", data_dir=tmp_path).outer_automorphism is not None
     report = verify_case("A6_36", data_dir=tmp_path)
     assert report["ok"], report.get("failures")
@@ -211,7 +211,7 @@ def _as_strings(record, key):
     values.update({label: str(value) for label, value in values.items()})
 
 
-# each record loads at the parent: a desk_scale that is no bool made the case metadata only,
+# each record was once accepted: a desk_scale that is no bool made the case metadata only,
 # and a string order ended as a failed row or as an OrderMismatch between equal numbers
 LOADER_PROBES = {
     "desk_scale 0": ("KLEIN_GRID", "desk_scale", lambda r: r.update(desk_scale=0)),
@@ -227,7 +227,7 @@ LOADER_PROBES = {
 @pytest.mark.parametrize("probe", sorted(LOADER_PROBES))
 def test_mistyped_record_field_names_the_field_and_the_file(capsys, tmp_path, probe):
     name, key, edit = LOADER_PROBES[probe]
-    path = _a6_copy(tmp_path, edit, name)
+    path = _case_copy(tmp_path, edit, name)
     prefix = f"case {name} ({path}): {key} must be "
     with pytest.raises(InvalidInput, match="^" + re.escape(prefix)):
         load_case(name, data_dir=tmp_path)
@@ -253,7 +253,7 @@ def test_outer_automorphism_needs_b_of_the_group_degree_as_index(tmp_path):
         record["subgroups"]["B"] = [[1, 2, 3, 4, 0, 5]]
         record["expected"]["subgroup_orders"]["B"] = 5
 
-    _a6_copy(tmp_path, cyclic_b)
+    _case_copy(tmp_path, cyclic_b)
     with pytest.raises(OrderMismatch, match="not a faithful action of degree 6"):
         load_case("A6_36", data_dir=tmp_path)
 
