@@ -24,7 +24,7 @@ from .factor import (
     is_strong_multiple_factorisation,
 )
 from .group import PermGroup, on_base
-from .structure import CosetAction, centraliser_in_symmetric, intersect, normaliser_in
+from .structure import CosetAction, intersect, normaliser_in
 from .wreath import full_stabiliser
 
 DEFAULT_DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -215,8 +215,11 @@ def _coset_rows(record, budget):
         yield "system_valid", True, report.valid
         yield "W_order", exp["W_order"], full_stabiliser(e).group.order()
     yield "round_trip", True, rt.ok
+    # |N_T(A∩B) : A∩B| = |C_Sym(Ω)(g)| (Dixon & Mortimer, Thm 4.2A); one search serves two rows
+    index = None
     if exp.get("quasiprimitive"):
-        yield "trivial_centraliser", 1, centraliser_in_symmetric(g).order()
+        index = normaliser_in(t, inter).order() // inter.order()
+        yield "trivial_centraliser", 1, index
     theta, full = record.outer_automorphism, exp.get("full_factorisation")
     if full or theta is not None:
         holds = is_full_factorisation(t, a, b).holds  # the rows below raise unless T = AB
@@ -224,7 +227,8 @@ def _coset_rows(record, budget):
         if holds and full:
             yield "conjugation_transitivity", (True, True), (
                 conjugation_transitivity_check(t, a, b), conjugation_transitivity_check(t, b, a))
-            yield "self_normalising_intersection", True, normaliser_in(t, inter).same_group(inter)
+            index = index or normaliser_in(t, inter).order() // inter.order()
+            yield "self_normalising_intersection", True, index == 1
         if holds and theta is not None:
             swapped = _find_conjugator(t, theta.apply_group(a), b)
             yield "outer_automorphism_swaps_classes", (True, True), (

@@ -1,7 +1,7 @@
-"""Command-line front end. JSON on stdout; --pretty renders the same JSON.
-
-Exit codes: 0 all checks passed, 1 computation failure or failed check,
-2 usage error.
+"""Command-line front end: JSON on stdout, indented by --pretty, except that
+``corpus --pretty`` prints one ``NAME PASS|FAIL`` line per case and oracle
+group and writes the JSON report only to --out. Exit codes: 0 all checks
+passed, 1 computation failure or failed check, 2 usage error.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ a factorisation pair, a strong multiple factorisation and
 ``cartesian.validate_system``.
 Automorphisms are never computed from scratch; equivalence checking takes
 caller-supplied maps and finds the inner adjustment, like every conjugator
-and normaliser here, by one backtrack over the group's stabiliser chain
+here, by one backtrack over the group's stabiliser chain
 (``structure.conjugator``). No group's elements are listed.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InvalidInput, NotFactorisation, NotSubgroup
 from .group import PermGroup
-from .structure import conjugator, intersect, normaliser_in, prime_divisors
+from .structure import conjugator, intersect, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -127,22 +127,15 @@ def is_strong_multiple_factorisation(t, subgroups):
 
 
 def conjugation_transitivity_check(g, a, b):
-    """Whether A acts transitively by conjugation on the G-class of B.
+    """Whether A acts transitively by conjugation on the G-class of B: always, once G = AB.
 
-    Decided by the index identity |A : N_A(B)| = |G : N_G(B)|: the A-orbit
-    of B has |A : N_A(B)| members and the G-class of B has |G : N_G(B)|.
-    Both normalisers come from the backtrack search of ``normaliser_in``,
-    which lists no group's elements. The tests compare both counts with
-    explicitly enumerated orbits.
+    G = AB gives G = G^-1 = B^-1 A^-1 = BA, so each x in G is some b a and
+    B^x = B^a; the A-orbit of B is its whole G-class. Raises NotFactorisation
+    unless G = AB. The tests check |A : N_A(B)| = |G : N_G(B)| and list orbits.
     """
-    report = is_factorisation(g, a, b)
-    if not report.holds:
+    if not is_factorisation(g, a, b).holds:
         raise NotFactorisation("G = AB does not hold")
-    if b.is_trivial():
-        return True
-    n_g = normaliser_in(g, b)
-    n_a = normaliser_in(a, b)
-    return a.order() // n_a.order() == g.order() // n_g.order()
+    return True
 
 
 # --- automorphisms and equivalence ---------------------------------------------

@@ -78,16 +78,11 @@ def test_verify_desk_cases_list_no_elements(monkeypatch):
         assert verify_case(name)["ok"]
 
 
-def test_a6_verify_walks_its_one_system_once(monkeypatch):
-    # the round trip enumerates once and validates each system once; the
-    # atlas reads the decompositions from it and validates its own K once.
-    # The decomposition is validated by the enumeration, by to_decomposition
-    # and by full_stabiliser, and not again when its system is built
+def _counted_calls(monkeypatch, functions):
+    """A Counter of the calls of each (name, owner) in functions, through every permdec
+    module that binds it."""
     calls = Counter()
-    for name, owner in (("enumerate_cartesian_systems", cartesian),
-                        ("validate_system", cartesian),
-                        ("validate_decomposition", cartesian),
-                        ("setwise_stabiliser", structure)):
+    for name, owner in functions:
         original = getattr(owner, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
@@ -98,9 +93,26 @@ def test_a6_verify_walks_its_one_system_once(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
-    assert verify_case("A6_36")["ok"]
-    assert calls == {"enumerate_cartesian_systems": 1, "validate_system": 2,
-                     "validate_decomposition": 3, "setwise_stabiliser": 2}
+    return calls
+
+
+def test_a6_verify_walks_its_one_system_once(monkeypatch):
+    # the round trip enumerates once and validates each system once; the
+    # atlas reads the decompositions from it and validates its own K once.
+    # The decomposition is validated by the enumeration, by to_decomposition
+    # and by full_stabiliser, and not again when its system is built.
+    # One search for N_T(A∩B) decides both the trivial_centraliser and the
+    # self_normalising_intersection rows, and conjugation transitivity needs
+    # none. M12_144, the other coset case, walks the same way
+    calls = _counted_calls(monkeypatch, [(n, cartesian) for n in (
+        "enumerate_cartesian_systems", "validate_system", "validate_decomposition")] + [
+        (n, structure) for n in ("setwise_stabiliser", "normaliser_in", "centraliser_in_symmetric")])
+    for name in ("A6_36", "M12_144"):
+        calls.clear()
+        assert verify_case(name)["ok"]
+        assert calls == {"enumerate_cartesian_systems": 1, "validate_system": 2,
+                         "validate_decomposition": 3, "setwise_stabiliser": 2, "normaliser_in": 1}
+        assert calls["centraliser_in_symmetric"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(METADATA_ONLY))
@@ -192,14 +204,17 @@ def test_mistyped_case_field_is_a_json_error(capsys, tmp_path, key):
     assert data["message"].startswith(f"case A6_36 ({path}): {key} must be ")
 
 
-def test_case_without_the_optional_flags_verifies(tmp_path):
-    # absent flags switch their rows off; the theta rows still run, and pass
+def test_case_without_the_optional_flags_verifies(tmp_path, monkeypatch):
+    # absent flags switch their rows off, and with them the search for N_T(A∩B);
+    # the theta rows still run, and pass
     def drop(record):
         del record["expected"]["quasiprimitive"], record["expected"]["full_factorisation"]
 
     _case_copy(tmp_path, drop)
     assert load_case("A6_36", data_dir=tmp_path).outer_automorphism is not None
+    calls = _counted_calls(monkeypatch, [("normaliser_in", structure)])
     report = verify_case("A6_36", data_dir=tmp_path)
+    assert calls["normaliser_in"] == 0
     assert report["ok"], report.get("failures")
     checks = [c["check"] for c in report["checks"]]
     assert "trivial_centraliser" not in checks and "conjugation_transitivity" not in checks

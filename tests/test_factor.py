@@ -264,16 +264,36 @@ def _conjugation_orbit(a, b):
     return {frozenset(e.conjugate_by(x) for e in elements) for x in a.elements()}
 
 
+def _seeded_factorisations(seed, count):
+    """count factorisations G = <A, B> = AB, |G| <= 120: A on 1-2 and B on 1 random
+    permutations of degree 4-5."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 5)
+        xs = [Permutation(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))]
+        ys = [Permutation(rng.sample(range(n), n))]
+        g, a, b = PermGroup(xs + ys, degree=n), PermGroup(xs, degree=n), PermGroup(ys, degree=n)
+        if is_factorisation(g, a, b).holds:
+            out.append((g, a, b))
+    return out
+
+
 def test_conjugation_orbit_sizes_by_enumeration(a6_case, s4):
+    # G = AB makes A transitive on B's class, which the check returns without a search;
+    # the index identity and the listed orbits keep that proof checked
     s3 = PermGroup([C(4, [(0, 1, 2)]), C(4, [(0, 1)])])
     c4 = PermGroup([C(4, [(0, 1, 2, 3)])])
     a6_pair = (a6_case.group, a6_case.subgroups["A"], a6_case.subgroups["B"])
-    for g, a, b in (a6_pair, (s4, s3, c4)):
+    seeded = _seeded_factorisations(3301, 40)
+    assert sum(a.order() < g.order() and b.order() < g.order() for g, a, b in seeded) >= 10
+    for g, a, b in [a6_pair, (s4, s3, c4), *seeded]:
         for x, y in ((a, b), (b, a)):
+            assert conjugation_transitivity_check(g, x, y)
             orbit = _conjugation_orbit(x, y)
             assert len(orbit) == x.order() // normaliser_in(x, y).order()
-            transitive = orbit == _conjugation_orbit(g, y)
-            assert conjugation_transitivity_check(g, x, y) == transitive
+            assert len(orbit) == g.order() // normaliser_in(g, y).order()
+            assert orbit == _conjugation_orbit(g, y)
 
 
 def test_conjugation_trivial_b(s4):
@@ -281,7 +301,7 @@ def test_conjugation_trivial_b(s4):
 
 
 def test_conjugation_budget(m12_case, monkeypatch):
-    # N_T(B) takes 79 nodes; the conjugation check's normalisers have no order cap
+    # N_T(B) takes 79 nodes; a normaliser search has no order cap, only the node budget
     t, b = m12_case.group, m12_case.subgroups["B"]
     monkeypatch.setattr(structure, "DEFAULT_NODE_BUDGET", 50)
     with pytest.raises(BudgetExceeded, match="normaliser search exceeded 50 nodes"):

@@ -510,6 +510,23 @@ def test_centraliser_is_every_commuting_permutation(corpus_entries):
         assert centraliser_in_symmetric(g).element_set() == _commuting(g), g.generators
 
 
+def test_centraliser_order_is_the_normaliser_index(a6_case, m12_case):
+    # for transitive G, |C_Sym(Omega)(G)| = |N_G(G_w) : G_w| (Dixon & Mortimer, Thm 4.2A); on T's
+    # action on the cosets of H that is |N_T(H) : H|, the atlas's trivial_centraliser row
+    pairs = [(c.group, intersect(c.subgroups["A"], c.subgroups["B"])) for c in (a6_case, m12_case)]
+    rng = random.Random(3302)
+    while len(pairs) < 62:
+        n = rng.randint(4, 6)
+        t = PermGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], degree=n)
+        h = intersect(t, PermGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], degree=n))
+        if not h.is_trivial() and 1 < t.order() // h.order() <= 60:
+            pairs.append((t, h))
+    orders = [centraliser_in_symmetric(CosetAction(t, h).image).order() for t, h in pairs]
+    assert orders[:2] == [1, 1] and 1 in orders[2:] and max(orders) > 1
+    for (t, h), order in zip(pairs, orders):
+        assert order == normaliser_in(t, h).order() // h.order()
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_normaliser_matches_enumeration(n):
     # h is a subgroup of g half of the time and an arbitrary subgroup of Sym(n) otherwise
